@@ -10,6 +10,7 @@ user named.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -47,16 +48,11 @@ from lusokit.experiments.grid import (
 from lusokit.experiments.runner import run_matrix
 from lusokit.experiments.store import ResultsStore
 from lusokit.metrics import UNDEFINED, score
-from lusokit.packing import TruncationSchedule, pack_batch, plan_device_split, write_shard
 from lusokit.stats import Scale, count_stats, render_report, render_tsv
-from lusokit.tokenizer import load_vocabulary, tokenize
-from lusokit.translate import (
-    FakeReversingClient,
-    HttpMTClient,
-    TranslationCache,
-    translate_dataset,
-)
 from lusokit.variants import Variant, classify_variant
+
+# packing (numpy), tokenizer and translate (requests) are imported by the
+# commands that use them, so every other command starts without them.
 
 log = logging.getLogger("lusokit")
 
@@ -192,10 +188,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
+    from lusokit.packing import TruncationSchedule, pack_batch, plan_device_split, write_shard
+    from lusokit.tokenizer import load_vocabulary, tokenize_all
+
     vocab = load_vocabulary(args.vocab)
     schedule = TruncationSchedule.parse(args.schedule)
     records, _ = read_records(args.input)
-    seqs = [tokenize(record.text, vocab) for record in records]
+    # the pass's word memo is freed here, before pack_batch allocates
+    seqs = list(tokenize_all((record.text for record in records), vocab))
     if not seqs:
         raise DataError(f"{args.input} has no records to pack")
     out_dir = Path(args.output_dir)
@@ -270,6 +270,13 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    from lusokit.translate import (
+        FakeReversingClient,
+        HttpMTClient,
+        TranslationCache,
+        translate_dataset,
+    )
+
     records, _ = read_records(args.input)
     materialized = list(records)
     texts = [record.text for record in materialized]
@@ -293,12 +300,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         for record, translation in zip(materialized, outcome.translations):
             if translation is None:
                 continue
-            obj = {"id": record.id}
-            if record.url is not None:
-                obj["url"] = record.url
-            obj["source"] = record.source.value
-            obj["text"] = translation
-            out.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            out.write(record_to_json(dataclasses.replace(record, text=translation)) + "\n")
             written += 1
     for idx, message in outcome.rejects:
         log.debug("rejected input %d: %s", idx, message)

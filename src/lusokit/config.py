@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import yaml
 
 from lusokit.curation import RULE_NAMES, Blocklist, FilterConfig, load_default_stopwords
 from lusokit.errors import ConfigurationError
-from lusokit.packing import TruncationSchedule
+
+if TYPE_CHECKING:
+    from lusokit.packing import TruncationSchedule
 
 _TOP_KEYS = {"workdir", "curation", "blocklist", "packing", "experiments", "translation"}
 
@@ -189,4 +191,6 @@ class PipelineConfig:
     def make_schedule(self) -> Optional[TruncationSchedule]:
         if "schedule" not in self.packing:
             return None
+        from lusokit.packing import TruncationSchedule  # numpy stays out of CLI start-up
+
         return TruncationSchedule.parse(str(self.packing["schedule"]))

@@ -24,21 +24,24 @@ from typing import Iterable, Iterator
 
 from lusokit.corpus_io import CorpusRecord, Source
 from lusokit.errors import ConfigurationError
-from lusokit.textutil import char_ngrams, normalize_whitespace
+from lusokit.textutil import normalize_whitespace
 from lusokit.urls import hostname_of
 
 log = logging.getLogger(__name__)
 
-# Evaluation order for rejected_by attribution.
-RULE_NAMES = (
-    "min_words",
-    "max_words",
-    "char_repetition",
-    "word_repetition",
-    "special_char",
-    "stopword",
-    "flagged_word",
+# The quality rules in rejected_by attribution order: (rule name,
+# violation test of (measured value, word count, config)).
+_RULES = (
+    ("min_words", lambda v, n, cfg: v < cfg.min_words),
+    ("max_words", lambda v, n, cfg: v > cfg.max_words),
+    ("char_repetition", lambda v, n, cfg: v > cfg.max_char_repetition_ratio),
+    ("word_repetition", lambda v, n, cfg: v > cfg.max_word_repetition_ratio),
+    ("special_char", lambda v, n, cfg: v > cfg.max_special_char_ratio),
+    ("stopword", lambda v, n, cfg: n >= cfg.stopword_min_words and v < cfg.min_stopword_ratio),
+    ("flagged_word", lambda v, n, cfg: v > cfg.max_flagged_word_ratio),
 )
+
+RULE_NAMES = tuple(name for name, _violated in _RULES)
 
 _RATIO_FIELDS = (
     "max_char_repetition_ratio",
@@ -145,8 +148,22 @@ def apply_blocklist(record: CorpusRecord, blocklist: Blocklist) -> bool:
     return True
 
 
+def _distinct_trigrams(text: str) -> int:
+    """Distinct character 3-grams of a text of at least 3 characters.
+
+    Each 3-gram is packed into one int64 from its code points (21 bits
+    each, surrogates included), so no substring is built.
+    """
+    import numpy as np  # deferred: the CLI imports this module at start-up
+
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+    keys = points[:-2] << 42 | points[1:-1] << 21 | points[2:]
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
 def measure_rules(text: str, cfg: FilterConfig) -> dict[str, float]:
-    """Raw measurements for all seven rules, conventions:
+    """Raw measurements for all seven rules, keyed by rule name. Conventions:
 
     - word = maximal whitespace-separated token;
     - char_repetition = 1 - distinct/total character 3-grams, 0 under 3 chars;
@@ -156,22 +173,18 @@ def measure_rules(text: str, cfg: FilterConfig) -> dict[str, float]:
     """
     tokens = text.split()
     n_words = len(tokens)
-
-    grams = char_ngrams(text, 3) if len(text) >= 3 else []
-    char_rep = 1.0 - len(set(grams)) / len(grams) if grams else 0.0
+    n_grams = len(text) - 2
+    char_rep = 1.0 - _distinct_trigrams(text) / n_grams if n_grams > 0 else 0.0
     word_rep = 1.0 - len(set(tokens)) / n_words if n_words else 0.0
-    if text:
-        special = sum(1 for c in text if not c.isalnum() and not c.isspace()) / len(text)
-    else:
-        special = 0.0
+    specials = sum(text.count(c) for c in set(text) if not c.isalnum() and not c.isspace())
+    special = specials / len(text) if text else 0.0
     if n_words:
-        lowered = [t.lower() for t in tokens]
-        stopword = sum(1 for t in lowered if t in cfg.stopword_list) / n_words
-        flagged = sum(1 for t in lowered if t in cfg.flagged_word_list) / n_words
+        lowered = list(map(str.lower, tokens))
+        stopword = sum(map(cfg.stopword_list.__contains__, lowered)) / n_words
+        flagged = sum(map(cfg.flagged_word_list.__contains__, lowered)) / n_words
     else:
         stopword = 0.0
         flagged = 0.0
-
     return {
         "min_words": n_words,
         "max_words": n_words,
@@ -183,24 +196,6 @@ def measure_rules(text: str, cfg: FilterConfig) -> dict[str, float]:
     }
 
 
-def _violated(rule: str, value: float, n_words: int, cfg: FilterConfig) -> bool:
-    if rule == "min_words":
-        return value < cfg.min_words
-    if rule == "max_words":
-        return value > cfg.max_words
-    if rule == "char_repetition":
-        return value > cfg.max_char_repetition_ratio
-    if rule == "word_repetition":
-        return value > cfg.max_word_repetition_ratio
-    if rule == "special_char":
-        return value > cfg.max_special_char_ratio
-    if rule == "stopword":
-        return n_words >= cfg.stopword_min_words and value < cfg.min_stopword_ratio
-    if rule == "flagged_word":
-        return value > cfg.max_flagged_word_ratio
-    raise ValueError(f"unknown rule {rule!r}")
-
-
 def apply_filters(record: CorpusRecord, cfg: FilterConfig) -> FilterDecision:
     """Evaluate the enabled quality rules against one record.
 
@@ -209,13 +204,14 @@ def apply_filters(record: CorpusRecord, cfg: FilterConfig) -> FilterDecision:
     whether or not the record is kept.
     """
     all_measured = measure_rules(record.text, cfg)
-    n_words = int(all_measured["min_words"])
-    measured = {rule: all_measured[rule] for rule in RULE_NAMES if rule in cfg.enabled_rules}
+    n_words = all_measured["min_words"]
+    measured = {}
     rejected_by = None
-    for rule in RULE_NAMES:
-        if rule in cfg.enabled_rules and _violated(rule, all_measured[rule], n_words, cfg):
-            rejected_by = rule
-            break
+    for name, violated in _RULES:
+        if name in cfg.enabled_rules:
+            value = measured[name] = all_measured[name]
+            if rejected_by is None and violated(value, n_words, cfg):
+                rejected_by = name
     return FilterDecision(keep=rejected_by is None, rejected_by=rejected_by, measured=measured)
 
 

@@ -16,12 +16,6 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def char_ngrams(text: str, n: int) -> list[str]:
-    if n <= 0:
-        raise ValueError(f"n-gram size must be positive, got {n}")
-    return [text[i : i + n] for i in range(len(text) - n + 1)]
-
-
 def normalize_whitespace(text: str) -> str:
     """Collapse any whitespace runs to single spaces and trim the ends."""
     return " ".join(text.split())

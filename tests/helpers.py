@@ -1,7 +1,8 @@
 """Shared test utilities.
 
-Contains an independent re-implementation of the quality-rule math
-(used as an oracle against the package's own) and a synthetic corpus
+Contains independent re-implementations of the quality-rule math and
+of greedy tokenization (used as oracles against the package's own)
+and a synthetic corpus
 generator that emits a raw input file together with a ledger of every
 outcome the pipeline is expected to produce from it.
 """
@@ -15,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 
 from lusokit.curation import RULE_NAMES, FilterConfig, load_default_stopwords
+from lusokit.tokenizer import Vocabulary
 
 _WS_SPLIT = re.compile(r"\s+")
 
@@ -64,6 +66,39 @@ def oracle_first_violation(text: str, cfg: FilterConfig) -> str | None:
         if rule in cfg.enabled_rules and checks[rule]:
             return rule
     return None
+
+
+def reference_tokenize(text: str, vocab: Vocabulary) -> tuple[int, ...]:
+    """Greedy longest-match ids, trying every end position, no memo.
+
+    The scan is bounded by the longest content fragment (pieces after
+    the four specials, "##" stripped), as the package's always was.
+    """
+    longest = max([1] + [len(p[2:] if p.startswith("##") else p) for p in vocab.pieces[4:]])
+    ids = [vocab.cls_id]
+    for word in text.split():
+        pos = 0
+        at_start = True
+        in_unk_run = False
+        while pos < len(word):
+            match = None
+            for end in range(min(len(word), pos + longest), pos, -1):
+                key = word[pos:end] if at_start else "##" + word[pos:end]
+                if key in vocab.ids:
+                    match = (vocab.ids[key], end - pos)
+                    break
+            if match is None:
+                if not in_unk_run:
+                    ids.append(vocab.unk_id)
+                    in_unk_run = True
+                pos += 1
+            else:
+                ids.append(match[0])
+                pos += match[1]
+                in_unk_run = False
+            at_start = False
+    ids.append(vocab.sep_id)
+    return tuple(ids)
 
 
 # Word pools for generated Portuguese-looking text. The STOP words must

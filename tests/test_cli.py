@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, wiring, stderr reporting."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lusokit
 from lusokit import __version__
 from lusokit.cli import dispatch
 
@@ -57,6 +60,23 @@ class TestDispatchBasics:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_leaves_numpy_and_requests_unloaded():
+    # every command pays for what `import lusokit.cli` loads; numpy and
+    # requests are imported only by the commands that use them
+    src = str(Path(lusokit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, lusokit.cli; print(sorted({'numpy', 'requests'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestPipelineCommands:
@@ -226,6 +246,22 @@ class TestTranslateCommand:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines[0]["text"] == "mundo dia bom"
         assert "translated=2 rejected=0" in capsys.readouterr().err
+
+    def test_output_lines_serialize_like_records(self, tmp_path, capsys):
+        rows = [
+            {"id": "a", "url": "https://x.pt/1", "source": "DCEP", "text": "um \u00e9 dois"},
+            {"id": "b", "text": "sem url"},
+        ]
+        out = tmp_path / "out.jsonl"
+        code = dispatch(
+            ["translate", "--input", jsonl(tmp_path / "in.jsonl", rows),
+             "--output", str(out), "--target", "PT-PT", "--fake"]
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == (
+            '{"id": "a", "url": "https://x.pt/1", "source": "DCEP", "text": "dois \u00e9 um"}\n'
+            '{"id": "b", "source": "Other", "text": "url sem"}\n'
+        )
 
     def test_endpoint_required_without_fake(self, tmp_path):
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "ola")])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_first_violation
+from helpers import oracle_first_violation, oracle_measurements
 from lusokit.corpus_io import CorpusRecord, Source
 from lusokit.curation import (
     RULE_NAMES,
@@ -162,6 +162,50 @@ class TestOracleAgreement:
             "flagged_word": measured["flagged_word"] > BASE.max_flagged_word_ratio,
         }
         assert decision.keep == (not any(per_rule.values()))
+
+
+_SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+
+
+def _oracle_by_rule(text, cfg):
+    expected = oracle_measurements(text, cfg.stopword_list, cfg.flagged_word_list)
+    expected["min_words"] = expected["max_words"] = expected.pop("n_words")
+    return expected
+
+
+class TestMeasurementsMatchOracle:
+    CFG = FilterConfig(
+        stopword_list=BASE.stopword_list,
+        flagged_word_list=frozenset({"\U0001f600", "cafe\u0301"}),
+    )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "a",
+            "ab",
+            "abc",
+            "aaa",
+            " \t\n",
+            "\U0001f600",
+            "\U0001f600\U0001f600\U0001f600",
+            "a\U0001f600 a\U0001f600 a\U0001f600 \U0010ffff\U0010fffe",
+            "cafe\u0301 e\u0301 \u0301\u0301\u0301 De A",
+            "\ud800",
+            "\ud800\ud800\ud800",
+            "a\ud800b \udc00\ud800 \ud83d\ude00",
+            "!!",
+            "#!# #!# ???",
+        ],
+    )
+    def test_edge_texts(self, text):
+        assert measure_rules(text, self.CFG) == _oracle_by_rule(text, self.CFG)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.characters() | _SURROGATES, max_size=40))
+    def test_any_code_points(self, text):
+        assert measure_rules(text, self.CFG) == _oracle_by_rule(text, self.CFG)
 
 
 class TestBlocklist:

@@ -1,9 +1,11 @@
 """Greedy subword tokenization."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_tokenize
+from lusokit import tokenizer
 from lusokit.errors import ConfigurationError
 from lusokit.tokenizer import (
     TokenizedSequence,
@@ -11,6 +13,7 @@ from lusokit.tokenizer import (
     load_vocabulary,
     pieces_of,
     tokenize,
+    tokenize_all,
 )
 
 
@@ -105,6 +108,50 @@ class TestTokenize:
         assert v.pad_id not in ids
         # interior never holds cls
         assert v.cls_id not in ids[1:]
+
+
+# Pieces and texts over a small alphabet, so words repeat, pieces overlap,
+# "##" and special pieces occur literally in text, and some fragment
+# lengths are missing from the vocabulary.
+_SPECIALS = ("[CLS]", "[SEP]", "[PAD]", "[UNK]")
+_piece = st.builds(
+    lambda body, continued: "##" + body if continued else body,
+    st.text(alphabet="ab#[CLS]\u00e9", min_size=1, max_size=6),
+    st.booleans(),
+)
+_pieces = st.lists(_piece, max_size=14, unique=True).map(
+    lambda ps: [p for p in ps if p not in _SPECIALS]
+)
+_text = st.lists(
+    st.sampled_from(["a", "b", "ab", "#", "##", "[CLS]", "[UNK]", "\u00e9", " ", "  "]),
+    max_size=30,
+).map("".join)
+
+
+class TestTokenizeAll:
+    @pytest.mark.parametrize("cache_max", [None, 2])
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=_pieces, texts=st.lists(_text, max_size=6))
+    @example(pieces=["a", "##b", "##bb"], texts=["a ab abb abbb", "abbbb a ab x abb"])
+    def test_equals_uncached_reference(self, cache_max, pieces, texts):
+        # cache_max=2 fills the memo at once, so later misses take the
+        # store-nothing path
+        v = Vocabulary.build(pieces)
+        with pytest.MonkeyPatch.context() as mp:
+            if cache_max is not None:
+                mp.setattr(tokenizer, "WORD_CACHE_MAX", cache_max)
+            got = [seq.token_ids for seq in tokenize_all(texts, v)]
+        assert got == [reference_tokenize(text, v) for text in texts]
+        assert [tokenize(text, v).token_ids for text in texts] == got
+
+    def test_lazy_and_in_order(self):
+        v = vocab_from("de", "##s")
+        stream = tokenize_all(iter(["des", "xyz", ""]), v)
+        assert next(stream).token_ids == (v.cls_id, v.ids["de"], v.ids["##s"], v.sep_id)
+        assert [seq.token_ids for seq in stream] == [
+            (v.cls_id, v.unk_id, v.sep_id),
+            (v.cls_id, v.sep_id),
+        ]
 
 
 class TestFromIds:
