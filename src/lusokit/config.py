@@ -1,6 +1,7 @@
 """Pipeline configuration file loading.
 
-One YAML file drives the whole pipeline. Validation is strict: unknown
+One YAML file holds the quality-rule settings and domain blocklist
+that `lusokit curate --config` reads. Validation is strict: unknown
 keys are rejected (a typo should fail loudly, not silently fall back to
 a default) and every referenced file must exist at load time. Relative
 paths are resolved against the config file's own directory.
@@ -10,17 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any
 
 import yaml
 
 from lusokit.curation import RULE_NAMES, Blocklist, FilterConfig, load_default_stopwords
 from lusokit.errors import ConfigurationError
 
-if TYPE_CHECKING:
-    from lusokit.packing import TruncationSchedule
-
-_TOP_KEYS = {"workdir", "curation", "blocklist", "packing", "experiments", "translation"}
+_TOP_KEYS = {"curation", "blocklist"}
 
 _SECTION_KEYS = {
     "curation": {
@@ -37,15 +35,6 @@ _SECTION_KEYS = {
         "enabled_rules",
     },
     "blocklist": {"exact_file", "suffix_file"},
-    "packing": {"vocab_file", "schedule", "global_batch", "devices"},
-    "experiments": {
-        "roster_file",
-        "template",
-        "store_dir",
-        "max_workers",
-        "split_seed",
-    },
-    "translation": {"endpoint", "target", "cache_dir", "batch_size", "max_retries"},
 }
 
 _PATH_KEYS = {
@@ -53,8 +42,6 @@ _PATH_KEYS = {
     "flagged_words_file",
     "exact_file",
     "suffix_file",
-    "vocab_file",
-    "roster_file",
 }
 
 
@@ -83,12 +70,8 @@ class PipelineConfig:
     """Validated pipeline settings, sections kept as plain mappings."""
 
     path: Path
-    workdir: Optional[Path] = None
     curation: dict = field(default_factory=dict)
     blocklist: dict = field(default_factory=dict)
-    packing: dict = field(default_factory=dict)
-    experiments: dict = field(default_factory=dict)
-    translation: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -134,19 +117,10 @@ class PipelineConfig:
                 else:
                     resolved[key] = value
             sections[name] = resolved
-        workdir = None
-        if "workdir" in raw:
-            if not isinstance(raw["workdir"], str) or not raw["workdir"]:
-                raise ConfigurationError("config workdir must be a path string")
-            workdir = (path.parent / raw["workdir"]).resolve()
         return cls(
             path=path,
-            workdir=workdir,
             curation=sections["curation"],
             blocklist=sections["blocklist"],
-            packing=sections["packing"],
-            experiments=sections["experiments"],
-            translation=sections["translation"],
         )
 
     def make_filter_config(self) -> FilterConfig:
@@ -187,10 +161,3 @@ class PipelineConfig:
             else frozenset()
         )
         return Blocklist(exact_domains=exact, suffix_domains=suffix)
-
-    def make_schedule(self) -> Optional[TruncationSchedule]:
-        if "schedule" not in self.packing:
-            return None
-        from lusokit.packing import TruncationSchedule  # numpy stays out of CLI start-up
-
-        return TruncationSchedule.parse(str(self.packing["schedule"]))

@@ -16,7 +16,6 @@ import re
 import shlex
 import string
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,6 +23,7 @@ from lusokit.benchmarks import TASKS, Metric
 from lusokit.errors import ConfigurationError
 from lusokit.experiments.grid import RunConfig, make_run_key
 from lusokit.experiments.store import STATUS_FAILED, STATUS_OK, ResultsStore
+from lusokit.fanout import fan_out
 
 REQUIRED_PLACEHOLDERS = (
     "model",
@@ -183,7 +183,8 @@ def run_matrix(
     Runs whose latest stored record is a success are skipped, so a
     rerun of the same matrix only touches unfinished work. Each run is
     claimed before execution and released afterwards; claims held by
-    someone else skip the run for this pass.
+    someone else skip the run for this pass. progress, if given, gets
+    each attempted run's record as soon as that run finishes.
     """
     if max_workers < 1:
         raise ConfigurationError(f"max_workers must be positive, got {max_workers}")
@@ -214,13 +215,7 @@ def run_matrix(
         finally:
             store.release(key)
 
-    if max_workers == 1 or len(to_run) <= 1:
-        outcomes = [execute(cfg) for cfg in to_run]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(execute, to_run))
-
-    for record in outcomes:
+    for record in fan_out(execute, to_run, max_workers):
         if record is None:
             skipped_claimed += 1
             continue

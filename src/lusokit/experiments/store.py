@@ -1,22 +1,27 @@
 """Append-only results store with crash-safe resume semantics.
 
-Results live in one JSONL file. Each completed or failed run appends a
-record; re-runs append again and the latest line for a run key wins at
-load time. Appends flush and fsync so a crash loses at most the line
-being written, and a torn final line is skipped on load rather than
-poisoning the store. Claim files (created with O_EXCL) keep concurrent
-workers from picking up the same run.
+Results live in one JSONL file (`lusokit.jsonlog`). Each completed or
+failed run appends a record; re-runs append again and the latest line
+for a run key wins at load time. Appends fsync so a crash loses at
+most the line being written, and a torn final line is skipped on load
+rather than poisoning the store. Claim files (created with O_EXCL) keep
+concurrent workers from picking up the same run.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 from pathlib import Path
+
+from lusokit import jsonlog
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
+
+
+def _run_key(record: dict) -> str | None:
+    key = record.get("run_key")
+    return key if isinstance(key, str) and key else None
 
 
 class ResultsStore:
@@ -26,39 +31,16 @@ class ResultsStore:
         self.results_path = self.directory / "results.jsonl"
         self.claims_dir = self.directory / "claims"
         self.claims_dir.mkdir(exist_ok=True)
-        self._append_lock = threading.Lock()
 
     def append(self, record: dict) -> None:
         """Durably append one result record."""
-        if not isinstance(record.get("run_key"), str) or not record["run_key"]:
+        if _run_key(record) is None:
             raise ValueError("result record needs a non-empty 'run_key'")
-        line = json.dumps(record, ensure_ascii=False)
-        with self._append_lock:
-            with self.results_path.open("a", encoding="utf-8") as out:
-                out.write(line + "\n")
-                out.flush()
-                os.fsync(out.fileno())
+        jsonlog.append(self.results_path, record)
 
     def load(self) -> dict[str, dict]:
         """Latest record per run key; malformed lines are skipped."""
-        records: dict[str, dict] = {}
-        if not self.results_path.exists():
-            return records
-        with self.results_path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(obj, dict):
-                    continue
-                key = obj.get("run_key")
-                if isinstance(key, str) and key:
-                    records[key] = obj
-        return records
+        return jsonlog.load(self.results_path, _run_key)
 
     def completed_keys(self) -> set[str]:
         """Run keys whose latest record is a success."""
@@ -71,18 +53,9 @@ class ResultsStore:
     def compact(self) -> int:
         """Rewrite the file keeping only the winning record per key.
 
-        Returns the number of records kept. The rewrite goes through a
-        temp file and an atomic rename.
+        Returns the number of records kept.
         """
-        records = self.load()
-        tmp = self.results_path.with_suffix(".jsonl.tmp")
-        with tmp.open("w", encoding="utf-8") as out:
-            for record in records.values():
-                out.write(json.dumps(record, ensure_ascii=False) + "\n")
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, self.results_path)
-        return len(records)
+        return jsonlog.compact(self.results_path, self.load().values())
 
     def _claim_path(self, run_key: str) -> Path:
         return self.claims_dir / f"{run_key}.claim"

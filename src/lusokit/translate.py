@@ -9,17 +9,18 @@ retry will ever help).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
-import requests
+from lusokit import jsonlog
+from lusokit.fanout import fan_out
+
+if TYPE_CHECKING:
+    import requests
 
 AUTH_KEY_ENV_VAR = "LUSOKIT_MT_AUTH_KEY"
 
@@ -84,9 +85,13 @@ class HttpMTClient:
                 f"no auth key: pass one or set {AUTH_KEY_ENV_VAR}"
             )
         self.timeout = timeout
+        import requests  # slow to import, and only this client needs it
+
         self.session = session if session is not None else requests.Session()
 
     def translate_batch(self, texts: Sequence[str], target: str) -> list[str]:
+        import requests
+
         payload = {"texts": list(texts), "target": target}
         headers = {"Authorization": f"Bearer {self.auth_key}"}
         try:
@@ -117,40 +122,32 @@ class HttpMTClient:
 
 
 class TranslationCache:
-    """Directory-backed (text, target) -> translation cache.
-
-    Entries are JSON files keyed by a digest of target and text,
-    written atomically so concurrent workers never see torn files.
-    """
+    """(text, target) -> translation cache: one `cache.jsonl` log,
+    read once into a dict; each put is appended durably."""
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-
-    def _path_for(self, text: str, target: str) -> Path:
-        digest = hashlib.sha256(f"{target}\x00{text}".encode("utf-8")).hexdigest()
-        return self.directory / f"{digest}.json"
+        self.path = self.directory / "cache.jsonl"
+        self._entries = {
+            key: record["translation"]
+            for key, record in jsonlog.load(self.path, _cache_key).items()
+        }
 
     def get(self, text: str, target: str) -> Optional[str]:
-        path = self._path_for(text, target)
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            return None
-        value = obj.get("translation")
-        return value if isinstance(value, str) else None
+        return self._entries.get((target, text))
 
     def put(self, text: str, target: str, translation: str) -> None:
-        path = self._path_for(text, target)
-        obj = {"target": target, "text": text, "translation": translation}
-        data = json.dumps(obj, ensure_ascii=False)
-        with self._lock:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(data, encoding="utf-8")
-            os.replace(tmp, path)
+        jsonlog.append(
+            self.path, {"target": target, "text": text, "translation": translation}
+        )
+        self._entries[(target, text)] = translation
+
+
+def _cache_key(record: dict) -> Optional[tuple]:
+    if isinstance(record.get("translation"), str):
+        return (record.get("target"), record.get("text"))
+    return None
 
 
 @dataclass(frozen=True)
@@ -225,8 +222,10 @@ def translate_dataset(
     """Translate texts into target, returning aligned results.
 
     Cache hits and empty strings never reach the client. Batches fan
-    out across max_workers threads; a single authentication failure
-    aborts the whole run since no other batch could succeed either.
+    out across max_workers threads and each batch's translations are
+    cached as it finishes. A single authentication failure aborts the
+    whole run, since no other batch could succeed either: batches not
+    yet started are never sent.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -251,22 +250,20 @@ def translate_dataset(
     counter_lock = threading.Lock()
 
     def run(batch: list[tuple[int, str]]):
-        return _translate_batch_isolating(
+        ok, bad = _translate_batch_isolating(
             client, batch, target, max_retries, backoff_base, sleep,
             counter, counter_lock,
         )
+        # Cached from the worker as the batch returns, so paid work
+        # survives a later batch aborting the run.
+        if cache is not None:
+            for idx, translation in ok.items():
+                cache.put(texts[idx], target, translation)
+        return ok, bad
 
-    if max_workers == 1 or len(batches) <= 1:
-        outcomes = [run(batch) for batch in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run, batches))
-
-    for ok, bad in outcomes:
+    for ok, bad in fan_out(run, batches, max_workers):
         for idx, translation in ok.items():
             results[idx] = translation
-            if cache is not None:
-                cache.put(texts[idx], target, translation)
         rejects.extend(bad)
 
     rejects.sort(key=lambda item: item[0])

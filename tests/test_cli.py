@@ -62,12 +62,10 @@ class TestDispatchBasics:
         assert "error:" in capsys.readouterr().err
 
 
-def test_import_leaves_numpy_and_requests_unloaded():
-    # every command pays for what `import lusokit.cli` loads; numpy and
-    # requests are imported only by the commands that use them
+def run_python(code):
+    """Run code in a fresh interpreter with this checkout's package; its stdout."""
     src = str(Path(lusokit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, lusokit.cli; print(sorted({'numpy', 'requests'} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -76,7 +74,24 @@ def test_import_leaves_numpy_and_requests_unloaded():
         timeout=60,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_leaves_numpy_and_requests_unloaded():
+    # every command pays for what `import lusokit.cli` loads; numpy and
+    # requests are imported only by the commands that use them
+    code = "import sys, lusokit.cli; print(sorted({'numpy', 'requests'} & set(sys.modules)))"
+    assert run_python(code) == "[]"
+
+
+def test_fake_translate_leaves_requests_unloaded(tmp_path):
+    # only the HTTP client needs requests; the offline path never builds one
+    src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "bom dia mundo")])
+    argv = ["translate", "--input", src, "--output", str(tmp_path / "out.jsonl"),
+            "--target", "PT-PT", "--fake", "--cache-dir", str(tmp_path / "cache")]
+    code = ("import sys; from lusokit.cli import dispatch; "
+            f"code = dispatch({argv!r}); print(code, 'requests' in sys.modules)")
+    assert run_python(code) == "0 False"
 
 
 class TestPipelineCommands:
@@ -246,6 +261,24 @@ class TestTranslateCommand:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines[0]["text"] == "mundo dia bom"
         assert "translated=2 rejected=0" in capsys.readouterr().err
+
+    def test_cache_is_one_file_and_a_rerun_sends_nothing(self, tmp_path, capsys):
+        rows = [corpus_row(i, f"texto numero {i} aqui") for i in range(7)]
+        src = jsonl(tmp_path / "in.jsonl", rows)
+        cache = tmp_path / "cache"
+        outputs = []
+        for run in range(2):
+            out = tmp_path / f"out{run}.jsonl"
+            code = dispatch(
+                ["translate", "--input", src, "--output", str(out), "--target",
+                 "PT-PT", "--fake", "--batch-size", "3", "--cache-dir", str(cache)]
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+            assert sorted(p.name for p in cache.iterdir()) == ["cache.jsonl"]
+        err = capsys.readouterr().err
+        assert "requests=3" in err and "requests=0" in err
+        assert outputs[0] == outputs[1]
 
     def test_output_lines_serialize_like_records(self, tmp_path, capsys):
         rows = [

@@ -27,16 +27,23 @@ class TestLists:
 class TestLoad:
     def test_empty_file_gives_defaults(self, tmp_path):
         cfg = PipelineConfig.load(write_config(tmp_path, ""))
-        assert cfg.workdir is None
         assert cfg.curation == {}
         assert cfg.make_blocklist().exact_domains == frozenset()
-        assert cfg.make_schedule() is None
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "curations: {}\n")
         with pytest.raises(ConfigurationError) as exc:
             PipelineConfig.load(path)
         assert "curations" in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["workdir", "packing", "experiments", "translation"])
+    def test_removed_sections_rejected(self, tmp_path, key):
+        # keys of sections no command reads are refused like typos
+        path = write_config(tmp_path, f"{key}: {{}}\n")
+        with pytest.raises(ConfigurationError) as exc:
+            PipelineConfig.load(path)
+        assert "unknown top-level keys" in str(exc.value)
+        assert key in str(exc.value)
 
     def test_unknown_section_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "curation:\n  minimum_words: 3\n")
@@ -45,9 +52,10 @@ class TestLoad:
         assert "minimum_words" in str(exc.value)
 
     def test_section_must_be_mapping(self, tmp_path):
-        path = write_config(tmp_path, "packing:\n  - a\n  - b\n")
-        with pytest.raises(ConfigurationError):
+        path = write_config(tmp_path, "curation:\n  - a\n  - b\n")
+        with pytest.raises(ConfigurationError) as exc:
             PipelineConfig.load(path)
+        assert "must be a mapping" in str(exc.value)
 
     def test_missing_referenced_file_rejected(self, tmp_path):
         path = write_config(tmp_path, "blocklist:\n  exact_file: nowhere.txt\n")
@@ -63,11 +71,6 @@ class TestLoad:
         path = write_config(sub, "curation:\n  stopword_file: lists/stop.txt\n")
         cfg = PipelineConfig.load(path)
         assert cfg.curation["stopword_file"] == (sub / "lists" / "stop.txt").resolve()
-
-    def test_workdir_resolved(self, tmp_path):
-        path = write_config(tmp_path, "workdir: out\n")
-        cfg = PipelineConfig.load(path)
-        assert cfg.workdir == (tmp_path / "out").resolve()
 
     def test_bad_yaml_rejected(self, tmp_path):
         path = write_config(tmp_path, "curation: [unclosed\n")
@@ -110,13 +113,6 @@ class TestFactories:
         assert block.exact_domains == frozenset({"bloqueado.pt"})
         assert block.suffix_domains == frozenset({"anuncios.pt"})
 
-    def test_schedule_parsed(self, tmp_path):
-        path = write_config(
-            tmp_path, "packing:\n  schedule: '128:250000,256:80000,512:60000'\n"
-        )
-        schedule = PipelineConfig.load(path).make_schedule()
-        assert schedule.boundaries() == [250000, 330000, 390000]
-
 
 class TestBundledExample:
     def test_repo_example_config_loads(self):
@@ -127,4 +123,3 @@ class TestBundledExample:
         fcfg = cfg.make_filter_config()
         assert fcfg.min_words >= 1
         cfg.make_blocklist()
-        assert cfg.make_schedule() is not None

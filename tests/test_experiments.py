@@ -2,6 +2,7 @@
 
 import json
 import sys
+import threading
 
 import pytest
 
@@ -165,6 +166,37 @@ class TestStore:
             out.write('{"run_key": "k2", "sta')
         assert set(store.load()) == {"k1"}
 
+    def test_append_after_torn_line_kept(self, tmp_path):
+        store = ResultsStore(tmp_path / "s")
+        store.append({"run_key": "k1", "status": "ok"})
+        with store.results_path.open("a", encoding="utf-8") as out:
+            out.write('{"run_key": "k2", "sta')
+        store.append({"run_key": "k3", "status": "ok"})
+        assert set(store.load()) == {"k1", "k3"}
+
+    def test_concurrent_appends_all_land(self, tmp_path):
+        store = ResultsStore(tmp_path / "s")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def write(worker):
+                for i in range(100):
+                    store.append({"run_key": f"w{worker}-{i}", "status": "ok",
+                                  "pad": "x" * (i * 37 % 500)})
+
+            threads = [threading.Thread(target=write, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        lines = store.results_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 800
+        assert all(json.loads(line)["status"] == "ok" for line in lines)
+        assert len(store.load()) == 800
+
     def test_compact_keeps_winners_only(self, tmp_path):
         store = ResultsStore(tmp_path / "s")
         for i in range(5):
@@ -274,6 +306,19 @@ class TestRunMatrix:
         summary = run_matrix(runs, TRAINER_TEMPLATE, store)
         assert summary.skipped_claimed == 1
         assert summary.attempted == 2
+
+    @pytest.mark.parametrize("max_workers", [1, 3])
+    def test_progress_once_per_attempted_run(self, tmp_path, max_workers):
+        runs = self._mini_runs()
+        store = ResultsStore(tmp_path / "s")
+        store.claim(make_run_key(runs[0]))
+        seen = []
+        summary = run_matrix(runs, TRAINER_TEMPLATE, store,
+                             max_workers=max_workers, progress=seen.append)
+        assert summary.attempted == len(seen) == 2
+        assert sorted(r["run_key"] for r in seen) == sorted(
+            make_run_key(run) for run in runs[1:]
+        )
 
     def test_parallel_equals_serial(self, tmp_path):
         runs = self._mini_runs()

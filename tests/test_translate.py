@@ -1,6 +1,7 @@
 """Translation client plumbing: batching, retries, bisection, cache."""
 
 import threading
+import time
 
 import pytest
 
@@ -17,17 +18,21 @@ from lusokit.translate import (
 class ScriptedClient:
     """Programmable client: per-text failure modes, call recording."""
 
-    def __init__(self, transient_failures=0, permanent_texts=(), auth_fail=False):
+    def __init__(self, transient_failures=0, permanent_texts=(), auth_fail_from_call=None,
+                 latency=0.0):
         self.remaining_transient = transient_failures
         self.permanent_texts = set(permanent_texts)
-        self.auth_fail = auth_fail
+        # 1-based call number from which the key counts as revoked
+        self.auth_fail_from_call = auth_fail_from_call
+        self.latency = latency  # seconds a successful call takes
         self.calls = []
         self.lock = threading.Lock()
 
     def translate_batch(self, texts, target):
         with self.lock:
             self.calls.append(tuple(texts))
-            if self.auth_fail:
+            if (self.auth_fail_from_call is not None
+                    and len(self.calls) >= self.auth_fail_from_call):
                 raise AuthenticationError("bad key")
             if self.remaining_transient > 0:
                 self.remaining_transient -= 1
@@ -35,7 +40,8 @@ class ScriptedClient:
             bad = [t for t in texts if t in self.permanent_texts]
             if bad:
                 raise PermanentTranslationError(f"cannot translate {bad[0]!r}")
-            return [f"[{target}] {t}" for t in texts]
+        time.sleep(self.latency)
+        return [f"[{target}] {t}" for t in texts]
 
 
 def no_sleep(_):
@@ -115,9 +121,22 @@ class TestBisection:
 
 class TestAuth:
     def test_auth_failure_is_fatal(self):
-        client = ScriptedClient(auth_fail=True)
+        client = ScriptedClient(auth_fail_from_call=1)
         with pytest.raises(AuthenticationError):
             translate_dataset(["ola"], "PT-PT", client, sleep=no_sleep)
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_no_batch_sent_after_auth_failure(self, max_workers):
+        # 10 batches; the key is revoked from the third call on. Only the
+        # batches already running when it fails may still reach the client.
+        # Successful calls take a moment, as a real request does, so the
+        # failing worker would otherwise drain the queue meanwhile.
+        client = ScriptedClient(auth_fail_from_call=3, latency=0.002)
+        texts = [f"texto {i}" for i in range(20)]
+        with pytest.raises(AuthenticationError):
+            translate_dataset(texts, "PT-PT", client, batch_size=2,
+                              max_workers=max_workers, sleep=no_sleep)
+        assert len(client.calls) <= 2 + max_workers
 
 
 class TestCache:
@@ -138,12 +157,46 @@ class TestCache:
         assert cache.get("ola", "PT-PT") == "ola-pt"
         assert cache.get("ola", "PT-BR") is None
 
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
+    def test_one_log_file_survives_reopen(self, tmp_path):
         cache = TranslationCache(tmp_path / "mt")
-        cache.put("ola", "PT-PT", "x")
-        path = cache._path_for("ola", "PT-PT")
-        path.write_text("nao é json", encoding="utf-8")
-        assert cache.get("ola", "PT-PT") is None
+        cache.put("ola", "PT-PT", "ola-pt")
+        cache.put("ola", "PT-BR", "ola-br")
+        cache.put("adeus", "PT-PT", "adeus-pt")
+        cache.put("ola", "PT-PT", "ola-pt-2")  # latest put wins
+        assert sorted(p.name for p in (tmp_path / "mt").iterdir()) == ["cache.jsonl"]
+        reopened = TranslationCache(tmp_path / "mt")
+        assert reopened.get("ola", "PT-PT") == "ola-pt-2"
+        assert reopened.get("ola", "PT-BR") == "ola-br"
+        assert reopened.get("adeus", "PT-PT") == "adeus-pt"
+        assert reopened.get("adeus", "PT-BR") is None
+
+    def test_torn_last_line_is_a_miss(self, tmp_path):
+        cache = TranslationCache(tmp_path / "mt")
+        cache.put("ola", "PT-PT", "ola-pt")
+        cache.put("bom dia", "PT-PT", "dia bom")
+        # a crash mid-append: the next record cut inside a 2-byte character
+        line = '{"target": "PT-PT", "text": "até", "translation": "até"}'.encode()
+        with (tmp_path / "mt" / "cache.jsonl").open("ab") as out:
+            out.write(line[: line.index("é".encode()) + 1])
+        reopened = TranslationCache(tmp_path / "mt")
+        assert reopened.get("até", "PT-PT") is None
+        assert reopened.get("ola", "PT-PT") == "ola-pt"
+        assert reopened.get("bom dia", "PT-PT") == "dia bom"
+        # the torn fragment does not swallow the next append
+        reopened.put("até", "PT-PT", "até-pt")
+        assert TranslationCache(tmp_path / "mt").get("até", "PT-PT") == "até-pt"
+
+    def test_finished_batches_cached_before_auth_abort(self, tmp_path):
+        # two batches are paid for, then the key is rejected on the third
+        texts = ["um", "dois", "tres", "quatro", "cinco", "seis"]
+        client = ScriptedClient(auth_fail_from_call=3)
+        with pytest.raises(AuthenticationError):
+            translate_dataset(texts, "PT-PT", client, batch_size=2,
+                              cache=TranslationCache(tmp_path / "mt"), sleep=no_sleep)
+        reopened = TranslationCache(tmp_path / "mt")
+        assert [reopened.get(t, "PT-PT") for t in texts] == [
+            "[PT-PT] um", "[PT-PT] dois", "[PT-PT] tres", "[PT-PT] quatro", None, None,
+        ]
 
 
 class TestWorkers:
