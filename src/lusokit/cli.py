@@ -10,24 +10,14 @@ user named.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
+from itertools import islice, tee
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from lusokit import __version__
-from lusokit.benchmarks import (
-    TASKS,
-    THREE_CLASS_LABELS,
-    split_90_10,
-    validate_examples,
-    validate_task_file,
-    read_task_examples,
-    write_task_examples,
-)
-from lusokit.config import PipelineConfig, load_domain_list
+from lusokit import DEFAULT_SPLIT_SEED, __version__
 from lusokit.corpus_io import (
     FORMAT_LINE_DELIMITED,
     FORMAT_PLAIN_TEXT_BLOCKS,
@@ -36,23 +26,15 @@ from lusokit.corpus_io import (
     record_to_json,
     write_records,
 )
-from lusokit.curation import Blocklist, FilterConfig, curate_stream, dedup_exact
 from lusokit.errors import ConfigurationError, DataError
-from lusokit.experiments.aggregate import aggregate_cells, render_cell_table, render_cell_tsv
-from lusokit.experiments.grid import (
-    DEFAULT_SPLIT_SEED,
-    HyperGrid,
-    build_matrix,
-    load_roster,
-)
-from lusokit.experiments.runner import run_matrix
-from lusokit.experiments.store import ResultsStore
-from lusokit.metrics import UNDEFINED, score
-from lusokit.stats import Scale, count_stats, render_report, render_tsv
-from lusokit.variants import Variant, classify_variant
 
-# packing (numpy), tokenizer and translate (requests) are imported by the
-# commands that use them, so every other command starts without them.
+if TYPE_CHECKING:
+    from lusokit.config import PipelineConfig
+    from lusokit.curation import Blocklist
+
+# Each command imports the rest of what it uses, so no command pays at
+# start-up for another's modules (yaml, numpy, requests, the experiment
+# and benchmark modules).
 
 log = logging.getLogger("lusokit")
 
@@ -79,6 +61,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_split_variant(args: argparse.Namespace) -> int:
+    from lusokit.variants import Variant, classify_variant
+
     records, _ = read_records(args.input)
     outputs = {
         Variant.PTPT: Path(args.output_ptpt).open("w", encoding="utf-8"),
@@ -113,6 +97,9 @@ def _cmd_split_variant(args: argparse.Namespace) -> int:
 
 
 def _load_blocklist(args: argparse.Namespace, cfg: Optional[PipelineConfig]) -> Blocklist:
+    from lusokit.config import load_domain_list
+    from lusokit.curation import Blocklist
+
     exact = frozenset()
     suffix = frozenset()
     if cfg is not None:
@@ -125,7 +112,22 @@ def _load_blocklist(args: argparse.Namespace, cfg: Optional[PipelineConfig]) -> 
     return Blocklist(exact_domains=exact, suffix_domains=suffix)
 
 
+# Records (curate) or texts (pack) per chunk a worker process handles.
+CHUNK_RECORDS = 64
+
+
+def _chunks(items, size: int):
+    items = iter(items)
+    return iter(lambda: list(islice(items, size)), [])
+
+
 def _cmd_curate(args: argparse.Namespace) -> int:
+    import numpy  # noqa: F401  (the quality rules use it; imported once, before the workers fork)
+
+    from lusokit.config import PipelineConfig
+    from lusokit.curation import FilterConfig, curate_stream
+    from lusokit.fanout import process_map
+
     pipeline_cfg = PipelineConfig.load(args.config) if args.config else None
     filter_cfg = (
         pipeline_cfg.make_filter_config()
@@ -135,34 +137,51 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     blocklist = _load_blocklist(args, pipeline_cfg)
     records, _ = read_records(args.input)
 
+    def curate_chunk(chunk):
+        """(kept positions, reject rows, (kept, blocklisted, rejected))."""
+        rows = []
+
+        def on_reject(record, stage, decision):
+            obj = {"id": record.id, "stage": stage}
+            if decision is not None:
+                obj["rule"] = decision.rejected_by
+            rows.append(json.dumps(obj, ensure_ascii=False) + "\n")
+
+        kept, stats = curate_stream(
+            chunk, filter_cfg, blocklist, on_reject=on_reject if args.rejects else None
+        )
+        position = {id(record): i for i, record in enumerate(chunk)}
+        positions = [position[id(record)] for record in kept]
+        return positions, rows, (stats.kept, stats.blocklisted, stats.rejected)
+
     rejects_handle = (
         Path(args.rejects).open("w", encoding="utf-8") if args.rejects else None
     )
+    totals = [0, 0, 0]
 
-    def on_reject(record, stage, decision):
-        if rejects_handle is None:
-            return
-        obj = {"id": record.id, "stage": stage}
-        if decision is not None:
-            obj["rule"] = decision.rejected_by
-        rejects_handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    def kept_records():
+        chunks, to_workers = tee(_chunks(records, CHUNK_RECORDS))
+        for chunk, (positions, rows, counts) in zip(chunks, process_map(curate_chunk, to_workers)):
+            if rejects_handle is not None:
+                rejects_handle.writelines(rows)
+            for i, n in enumerate(counts):
+                totals[i] += n
+            for i in positions:
+                yield chunk[i]
 
-    kept_stream, stats = curate_stream(
-        records, filter_cfg, blocklist, on_reject=on_reject
-    )
     try:
-        write_records(kept_stream, args.output)
+        write_records(kept_records(), args.output)
     finally:
         if rejects_handle is not None:
             rejects_handle.close()
-    print(
-        f"kept={stats.kept} blocklisted={stats.blocklisted} rejected={stats.rejected}",
-        file=sys.stderr,
-    )
+    kept, blocklisted, rejected = totals
+    print(f"kept={kept} blocklisted={blocklisted} rejected={rejected}", file=sys.stderr)
     return 0
 
 
 def _cmd_dedup(args: argparse.Namespace) -> int:
+    from lusokit.curation import dedup_exact
+
     records, _ = read_records(args.input)
     unique, stats = dedup_exact(records)
     write_records(unique, args.output)
@@ -171,6 +190,8 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from lusokit.stats import Scale, count_stats, render_report, render_tsv
+
     names = args.names.split(",") if args.names else None
     if names is not None and len(names) != len(args.input):
         raise ConfigurationError(
@@ -188,27 +209,53 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    from lusokit.packing import TruncationSchedule, pack_batch, plan_device_split, write_shard
-    from lusokit.tokenizer import load_vocabulary, tokenize_all
+    import numpy as np
 
+    from lusokit.fanout import process_map
+    from lusokit.packing import TruncationSchedule, pack_flat, plan_device_split, write_shard
+    from lusokit.tokenizer import load_vocabulary, tokenize_flat
+
+    if (args.global_batch is None) != (args.devices is None):
+        raise ConfigurationError("--global-batch and --devices must be given together")
+    per_device_batch = None
+    if args.global_batch is not None:
+        try:
+            per_device_batch = plan_device_split(args.global_batch, args.devices)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
     vocab = load_vocabulary(args.vocab)
     schedule = TruncationSchedule.parse(args.schedule)
     records, _ = read_records(args.input)
-    # the pass's word memo is freed here, before pack_batch allocates
-    seqs = list(tokenize_all((record.text for record in records), vocab))
-    if not seqs:
+    memo: dict = {}  # word -> ids; each worker fills its own copy
+
+    def tokenize_chunk(texts):
+        ids, lengths = tokenize_flat(texts, vocab, memo)
+        return np.array(ids, dtype="<i4"), lengths
+
+    # Chunks' ids are appended to one growing buffer, so the flat ids
+    # never exist twice.
+    flat = bytearray()
+    lengths = []
+    texts = (record.text for record in records)
+    for chunk_ids, chunk_lengths in process_map(tokenize_chunk, _chunks(texts, CHUNK_RECORDS)):
+        flat += memoryview(chunk_ids)
+        lengths += chunk_lengths
+    del memo
+    if not lengths:
         raise DataError(f"{args.input} has no records to pack")
+    ids = np.frombuffer(flat, dtype="<i4")
+    lengths = np.array(lengths, dtype=np.int64)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
-        "records": len(seqs),
+        "records": len(lengths),
         "schedule": [
             {"max_len": cap, "steps": steps} for cap, steps in schedule.stages
         ],
         "stages": [],
     }
     for cap, _steps in schedule.stages:
-        batch = pack_batch(seqs, cap, vocab.pad_id)
+        batch = pack_flat(ids, lengths, cap, vocab.pad_id)
         shard_name = f"stage_{cap}.bin"
         write_shard(out_dir / shard_name, batch)
         manifest["stages"].append(
@@ -218,19 +265,18 @@ def _cmd_pack(args: argparse.Namespace) -> int:
                 "rows": batch.rows,
                 "width": batch.width,
                 "tokens": int(batch.lengths().sum()),
-                "truncated_rows": sum(1 for s in seqs if len(s) > cap),
+                "truncated_rows": int(np.count_nonzero(lengths > cap)),
             }
         )
-    if (args.global_batch is None) != (args.devices is None):
-        raise ConfigurationError("--global-batch and --devices must be given together")
-    if args.global_batch is not None:
-        manifest["per_device_batch"] = plan_device_split(args.global_batch, args.devices)
+        del batch
+    if per_device_batch is not None:
+        manifest["per_device_batch"] = per_device_batch
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(
         json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
     print(
-        f"packed {len(seqs)} records into {len(schedule.stages)} stage shards "
+        f"packed {len(lengths)} records into {len(schedule.stages)} stage shards "
         f"under {out_dir}",
         file=sys.stderr,
     )
@@ -238,6 +284,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _require_task(name: str):
+    from lusokit.benchmarks import TASKS
+
     if name not in TASKS:
         raise ConfigurationError(
             f"unknown task {name!r}; known tasks: {', '.join(TASKS)}"
@@ -246,6 +294,8 @@ def _require_task(name: str):
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
+    from lusokit.benchmarks import read_task_examples, split_90_10, validate_examples, write_task_examples
+
     spec = _require_task(args.task)
     examples = read_task_examples(args.input)
     _, violations = validate_examples(examples, spec)
@@ -270,6 +320,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    import dataclasses
+
     from lusokit.translate import (
         FakeReversingClient,
         HttpMTClient,
@@ -313,6 +365,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from lusokit.benchmarks import validate_task_file
+
     spec = _require_task(args.task)
     valid, violations = validate_task_file(args.input, spec)
     for v in violations:
@@ -322,6 +376,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from lusokit.experiments.grid import build_matrix, load_roster
+
     models = load_roster(args.models)
     runs = build_matrix(models, split_seed=args.split_seed)
     if args.count:
@@ -348,6 +404,10 @@ def _selected_tasks(names: Optional[str]):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from lusokit.experiments.grid import build_matrix, load_roster
+    from lusokit.experiments.runner import run_matrix
+    from lusokit.experiments.store import ResultsStore
+
     models = load_roster(args.models)
     tasks = _selected_tasks(args.tasks)
     runs = build_matrix(models, tasks=tasks, split_seed=args.split_seed)
@@ -372,6 +432,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from lusokit.experiments.aggregate import aggregate_cells, render_cell_table, render_cell_tsv
+    from lusokit.experiments.grid import load_roster
+    from lusokit.experiments.store import ResultsStore
+
     models = load_roster(args.models)
     tasks = _selected_tasks(args.tasks)
     store = ResultsStore(args.store)
@@ -406,6 +470,9 @@ def _read_predictions(path: str | Path) -> dict[str, object]:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from lusokit.benchmarks import THREE_CLASS_LABELS, read_task_examples
+    from lusokit.metrics import UNDEFINED, score
+
     spec = _require_task(args.task)
     gold = read_task_examples(args.gold)
     preds = _read_predictions(args.pred)

@@ -154,7 +154,7 @@ def _distinct_trigrams(text: str) -> int:
     Each 3-gram is packed into one int64 from its code points (21 bits
     each, surrogates included), so no substring is built.
     """
-    import numpy as np  # deferred: the CLI imports this module at start-up
+    import numpy as np  # deferred: `lusokit dedup` imports this module and needs no numpy
 
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
     keys = points[:-2] << 42 | points[1:-1] << 21 | points[2:]

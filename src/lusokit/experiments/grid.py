@@ -16,11 +16,10 @@ from typing import Iterable, Iterator, Sequence
 
 import yaml
 
+from lusokit import DEFAULT_SPLIT_SEED
 from lusokit.benchmarks import TASKS, TaskSpec
 from lusokit.errors import ConfigurationError
 from lusokit.variants import Variant
-
-DEFAULT_SPLIT_SEED = 13
 
 
 class SizeClass(Enum):

@@ -1,12 +1,14 @@
 """Append-only, latest-wins JSONL log: the on-disk format of durable state.
 
 One JSON object per line, each written by one fsynced `os.write` on an
-O_APPEND descriptor, so writers never interleave inside a line and a
-crash loses at most the line being written.
+O_APPEND descriptor under an exclusive flock, so writers never
+interleave inside a line and a crash loses at most the line being
+written.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from pathlib import Path
@@ -18,6 +20,9 @@ def append(path: str | Path, record: dict) -> None:
     data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
+        # Another appender's line can be visible in part while it is
+        # written, so the tail is read and written under the lock.
+        fcntl.flock(fd, fcntl.LOCK_EX)
         # A crash can leave the last line without its newline; start a
         # fresh line so that fragment does not swallow this record.
         size = os.fstat(fd).st_size
@@ -25,6 +30,7 @@ def append(path: str | Path, record: dict) -> None:
             data = b"\n" + data
         if os.write(fd, data) != len(data):
             raise OSError(f"short write appending to {path}")
+        fcntl.flock(fd, fcntl.LOCK_UN)
         os.fsync(fd)
     finally:
         os.close(fd)

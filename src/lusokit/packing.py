@@ -12,10 +12,12 @@ followed by per-row lengths and the row-major token matrix.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,6 +69,35 @@ class PackedBatch:
         return self.attention_mask.sum(axis=1)
 
 
+def pack_flat(
+    ids: np.ndarray, lengths: np.ndarray, stage_max_len: int, pad_id: int
+) -> PackedBatch:
+    """Pack back-to-back id sequences into one dynamically padded batch.
+
+    Row i is the lengths[i] ids that follow the first sum(lengths[:i]).
+    A row longer than the stage cap is truncated as ``truncate`` does:
+    its first cap - 1 ids, then its last id. Row order is input order.
+    """
+    if not len(lengths):
+        raise ValueError("cannot pack an empty batch")
+    if stage_max_len < 2:
+        raise ValueError(f"max_len must be at least 2 (cls + sep), got {stage_max_len}")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    kept = np.minimum(lengths, stage_max_len)
+    width = int(kept.max())
+    token_ids = np.full((len(lengths), width), pad_id, dtype=_TOKEN_DTYPE)
+    head = stage_max_len - 1
+    starts = np.cumsum(lengths) - lengths
+    for row, (start, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        if n <= stage_max_len:
+            token_ids[row, :n] = ids[start : start + n]
+        else:
+            token_ids[row, :head] = ids[start : start + head]
+            token_ids[row, head] = ids[start + n - 1]
+    mask = (np.arange(width) < kept[:, None]).view(np.uint8)
+    return PackedBatch(token_ids=token_ids, attention_mask=mask, stage_max_len=stage_max_len)
+
+
 def pack_batch(
     seqs: Sequence[TokenizedSequence], stage_max_len: int, pad_id: int
 ) -> PackedBatch:
@@ -76,17 +107,11 @@ def pack_batch(
     sep re-appended). Row order preserves input order; no real token is
     dropped or reordered beyond that truncation.
     """
-    if not seqs:
-        raise ValueError("cannot pack an empty batch")
-    capped = [truncate(s, stage_max_len) for s in seqs]
-    width = min(stage_max_len, max(len(s) for s in capped))
-    token_ids = np.full((len(capped), width), pad_id, dtype=_TOKEN_DTYPE)
-    mask = np.zeros((len(capped), width), dtype=np.uint8)
-    for row, seq in enumerate(capped):
-        n = len(seq)
-        token_ids[row, :n] = seq.token_ids
-        mask[row, :n] = 1
-    return PackedBatch(token_ids=token_ids, attention_mask=mask, stage_max_len=stage_max_len)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.fromiter(
+        chain.from_iterable(s.token_ids for s in seqs), dtype=_TOKEN_DTYPE, count=int(lengths.sum())
+    )
+    return pack_flat(ids, lengths, stage_max_len, pad_id)
 
 
 def plan_device_split(global_batch: int, devices: int) -> int:
@@ -178,30 +203,28 @@ def write_shard(path: str | Path, batch: PackedBatch) -> None:
     )
     with Path(path).open("wb") as out:
         out.write(header)
-        out.write(lengths.tobytes())
-        out.write(np.ascontiguousarray(batch.token_ids, dtype=_TOKEN_DTYPE).tobytes())
+        out.write(lengths)
+        out.write(np.ascontiguousarray(batch.token_ids, dtype=_TOKEN_DTYPE))
 
 
 def read_shard(path: str | Path) -> PackedBatch:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ConfigurationError(f"shard {path} is too short to hold a header")
-    magic, version, int_width, _, stage, width, rows = _HEADER.unpack_from(raw)
-    if magic != SHARD_MAGIC:
-        raise ConfigurationError(f"shard {path} has bad magic {magic!r}")
-    if version != SHARD_VERSION or int_width != _TOKEN_DTYPE.itemsize:
-        raise ConfigurationError(
-            f"shard {path} has unsupported version/int width {version}/{int_width}"
-        )
-    offset = _HEADER.size
-    lengths = np.frombuffer(raw, dtype="<u4", count=rows, offset=offset)
-    offset += rows * 4
-    expected = rows * width * _TOKEN_DTYPE.itemsize
-    if len(raw) != offset + expected:
-        raise ConfigurationError(f"shard {path} payload size mismatch")
-    token_ids = np.frombuffer(raw, dtype=_TOKEN_DTYPE, count=rows * width, offset=offset)
-    token_ids = token_ids.reshape(rows, width).copy()
-    mask = np.zeros((rows, width), dtype=np.uint8)
-    for row, n in enumerate(lengths):
-        mask[row, : int(n)] = 1
+    with Path(path).open("rb") as handle:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ConfigurationError(f"shard {path} is too short to hold a header")
+        magic, version, int_width, _, stage, width, rows = _HEADER.unpack(header)
+        if magic != SHARD_MAGIC:
+            raise ConfigurationError(f"shard {path} has bad magic {magic!r}")
+        if version != SHARD_VERSION or int_width != _TOKEN_DTYPE.itemsize:
+            raise ConfigurationError(
+                f"shard {path} has unsupported version/int width {version}/{int_width}"
+            )
+        size = _HEADER.size + rows * 4 + rows * width * _TOKEN_DTYPE.itemsize
+        if os.fstat(handle.fileno()).st_size != size:
+            raise ConfigurationError(f"shard {path} payload size mismatch")
+        lengths = np.empty(rows, dtype="<u4")
+        token_ids = np.empty((rows, width), dtype=_TOKEN_DTYPE)
+        handle.readinto(lengths)
+        handle.readinto(token_ids)
+    mask = (np.arange(width) < lengths[:, None]).view(np.uint8)
     return PackedBatch(token_ids=token_ids, attention_mask=mask, stage_max_len=stage)

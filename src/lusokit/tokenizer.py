@@ -13,8 +13,8 @@ unk id. Any tokenizer producing id sequences can be substituted
 downstream, since packing accepts raw id lists.
 
 A pre-token's ids do not depend on its neighbours, so ``tokenize_all``
-memoizes them per word for one pass over many texts; web text is
-Zipfian and most words repeat. On a miss the scan after a word's start
+and ``tokenize_flat`` memoize them per word across many texts; web text
+is Zipfian and most words repeat. On a miss the scan after a word's start
 tries no fragment longer than the longest ``##`` piece (Song et al.,
 "Fast WordPiece Tokenization", arXiv 2012.15524, for the general
 technique).
@@ -30,7 +30,7 @@ from lusokit.errors import ConfigurationError
 
 CONTINUATION_PREFIX = "##"
 
-# Distinct words one tokenize_all pass memoizes; past this, misses are
+# Distinct words one word memo holds; past this, misses are
 # tokenized without being stored. A memoized word holds about 165 bytes,
 # so the memo stays under 6 MB; on a Zipfian crawl sample with 54k
 # distinct words the first 32k still answer 89% of lookups (91% uncapped).
@@ -156,6 +156,34 @@ def _tokenize_word(word: str, vocab: Vocabulary) -> tuple[int, ...]:
     return tuple(ids)
 
 
+def tokenize_flat(
+    texts: Iterable[str], vocab: Vocabulary, memo: dict[str, tuple[int, ...]]
+) -> tuple[list[int], list[int]]:
+    """Ids of many texts back to back, and each text's id count.
+
+    Text i's ids, cls and sep included, are the lengths[i] ids after the
+    first sum(lengths[:i]). memo maps a word to its ids; misses are added
+    to it until it holds WORD_CACHE_MAX words, so a caller that keeps
+    memo across calls keeps the words it learned. Each text's ids equal
+    ``tokenize`` on it.
+    """
+    ids: list[int] = []
+    lengths: list[int] = []
+    for text in texts:
+        start = len(ids)
+        ids.append(vocab.cls_id)
+        for word in text.split():
+            word_ids = memo.get(word)
+            if word_ids is None:
+                word_ids = _tokenize_word(word, vocab)
+                if len(memo) < WORD_CACHE_MAX:
+                    memo[word] = word_ids
+            ids.extend(word_ids)
+        ids.append(vocab.sep_id)
+        lengths.append(len(ids) - start)
+    return ids, lengths
+
+
 def tokenize_all(texts: Iterable[str], vocab: Vocabulary) -> Iterator[TokenizedSequence]:
     """Greedy longest-match tokenization of many texts, lazily, in order.
 
@@ -163,17 +191,9 @@ def tokenize_all(texts: Iterable[str], vocab: Vocabulary) -> Iterator[TokenizedS
     words); the memo is dropped when the iterator is exhausted or
     discarded. Results equal ``tokenize`` on each text.
     """
-    cache: dict[str, tuple[int, ...]] = {}
+    memo: dict[str, tuple[int, ...]] = {}
     for text in texts:
-        ids = [vocab.cls_id]
-        for word in text.split():
-            word_ids = cache.get(word)
-            if word_ids is None:
-                word_ids = _tokenize_word(word, vocab)
-                if len(cache) < WORD_CACHE_MAX:
-                    cache[word] = word_ids
-            ids.extend(word_ids)
-        ids.append(vocab.sep_id)
+        ids, _ = tokenize_flat((text,), vocab, memo)
         yield TokenizedSequence(token_ids=tuple(ids), truncated=False)
 
 

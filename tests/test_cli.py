@@ -84,6 +84,16 @@ def test_import_leaves_numpy_and_requests_unloaded():
     assert run_python(code) == "[]"
 
 
+def test_import_leaves_command_modules_unloaded():
+    # the package loads no submodule, and the CLI only what every command
+    # needs; each command imports its own modules
+    heavy = ["yaml", "lusokit.config", "lusokit.experiments", "lusokit.benchmarks", "lusokit.curation"]
+    code = f"import sys, lusokit.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    assert run_python(code) == "[]"
+    code = "import sys, lusokit; print('lusokit.corpus_io' in sys.modules, lusokit.CorpusRecord.__name__)"
+    assert run_python(code) == "False CorpusRecord"
+
+
 def test_fake_translate_leaves_requests_unloaded(tmp_path):
     # only the HTTP client needs requests; the offline path never builds one
     src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "bom dia mundo")])
@@ -185,6 +195,144 @@ class TestPipelineCommands:
              "--global-batch", "3072"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("batch, devices", [("63", "2"), ("0", "2"), ("64", "0")])
+    def test_pack_bad_device_split_fails_before_any_work(self, tmp_path, capsys, batch, devices):
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
+        out_dir = tmp_path / "p"
+        code = dispatch(
+            ["pack", "--input", src, "--vocab", VOCAB,
+             "--schedule", "16:100", "--output-dir", str(out_dir),
+             "--global-batch", batch, "--devices", devices]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the processes forked in this test (workers fork through os.fork)."""
+    started = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return started
+
+
+def fan_out_corpus(path):
+    """Clean, rule-breaking, blocklisted and over-long records, mixed."""
+    rng = random.Random(11)
+    rules = ["min_words", "char_repetition", "word_repetition", "special_char", "stopword"]
+    rows = []
+    for i in range(40):
+        if i % 7 == 3:
+            text = rule_violating_text(rules[i % len(rules)], rng, f"f{i}")
+            rows.append(corpus_row(i, text))
+        elif i % 11 == 5:
+            rows.append(corpus_row(i, sample_text(i), host=BLOCK_EXACT_HOST))
+        else:
+            rows.append(corpus_row(i, " ".join(sample_text(i + k) for k in range(i % 4 + 1))))
+    return jsonl(path, rows)
+
+
+class TestProcessFanOut:
+    """curate and pack split their input into chunks run by forked workers."""
+
+    def curate(self, tmp_path, capsys, name):
+        src = fan_out_corpus(tmp_path / "in.jsonl")
+        block = tmp_path / "exact.txt"
+        block.write_text(BLOCK_EXACT_HOST + "\n", encoding="utf-8")
+        out, rejects = tmp_path / f"{name}.kept", tmp_path / f"{name}.rejects"
+        code = dispatch(
+            ["curate", "--input", src, "--output", str(out),
+             "--blocklist-exact", str(block), "--rejects", str(rejects)]
+        )
+        return code, out.read_bytes(), rejects.read_bytes(), capsys.readouterr().err
+
+    def pack(self, tmp_path, capsys, name):
+        src = fan_out_corpus(tmp_path / "in.jsonl")
+        out_dir = tmp_path / name
+        code = dispatch(
+            ["pack", "--input", src, "--vocab", VOCAB, "--schedule", "8:10,32:10,256:10",
+             "--output-dir", str(out_dir), "--global-batch", "64", "--devices", "2"]
+        )
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        return code, files, capsys.readouterr().err.replace(str(out_dir), "<out>")
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_outputs_identical_to_one_chunk(self, tmp_path, capsys, monkeypatch, forks, workers):
+        from lusokit import cli, fanout
+
+        monkeypatch.setattr(fanout, "cpu_count", lambda: 1)
+        curated = self.curate(tmp_path, capsys, "one")
+        packed = self.pack(tmp_path, capsys, "one")
+        assert forks == []
+        assert curated[0] == 0 and curated[3] == "kept=28 blocklisted=3 rejected=9\n"
+        assert packed[0] == 0 and len(packed[1]) == 4
+
+        monkeypatch.setattr(fanout, "cpu_count", lambda: workers)
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", 3)  # 14 chunks
+        assert self.curate(tmp_path, capsys, "many") == curated
+        assert self.pack(tmp_path, capsys, "many") == packed
+        assert len(forks) == (2 * workers if workers > 1 else 0)
+
+    def test_one_chunk_starts_no_worker(self, tmp_path, capsys, monkeypatch):
+        from lusokit import fanout
+
+        def no_fork():
+            raise AssertionError("forked for a one-chunk input")
+
+        monkeypatch.setattr(fanout, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.curate(tmp_path, capsys, "c")[0] == 0
+        assert self.pack(tmp_path, capsys, "p")[0] == 0
+
+    def test_worker_exception_is_the_command_error(self, tmp_path, capsys, monkeypatch, forks):
+        from lusokit import cli, curation, fanout
+        from lusokit.errors import DataError
+
+        real = curation.apply_filters
+
+        def failing(record, cfg):
+            if record.id == "r20":
+                raise DataError(f"cannot filter {record.id}")
+            return real(record, cfg)
+
+        monkeypatch.setattr(curation, "apply_filters", failing)
+        monkeypatch.setattr(fanout, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", 3)
+        code, _, _, err = self.curate(tmp_path, capsys, "c")
+        assert code == 1
+        assert "error: cannot filter r20" in err
+        assert len(forks) == 2
+
+    def test_dead_worker_fails_the_command(self, tmp_path):
+        src = fan_out_corpus(tmp_path / "in.jsonl")
+        argv = ["curate", "--input", src, "--output", str(tmp_path / "kept.jsonl")]
+        code = (
+            "import os, sys\n"
+            "from lusokit import cli, curation, fanout\n"
+            "parent = os.getpid()\n"
+            "real = curation.apply_filters\n"
+            "def dying(record, cfg):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(3)\n"
+            "    return real(record, cfg)\n"
+            "curation.apply_filters = dying\n"
+            "fanout.cpu_count = lambda: 2\n"
+            "cli.CHUNK_RECORDS = 3\n"
+            f"sys.exit(cli.dispatch({argv!r}))\n"
+        )
+        with pytest.raises(subprocess.CalledProcessError) as exc:
+            run_python(code)
+        assert "terminated abruptly" in exc.value.stderr
 
 
 class TestTaskCommands:

@@ -1,6 +1,7 @@
 """Record I/O: streaming reads, malformed tolerance, round trips."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,17 @@ class TestRoundTrip:
         assert write_records(records, path) == 3
         back = list(read_records(path)[0])
         assert back == records
+
+    def test_pickle_round_trip(self):
+        # how records reach curate's worker processes
+        records = [
+            CorpusRecord(id="a", text="ola mundo", url="https://x.pt/1", source=Source.OSCAR),
+            CorpusRecord(id="b", text="sem url \ud800"),
+        ]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(records, protocol=protocol))
+            assert back == records
+            assert back[0].source is Source.OSCAR
 
     def test_json_key_order_is_stable(self):
         rec = CorpusRecord(id="a", text="x", url="https://y.br/", source=Source.OSCAR)

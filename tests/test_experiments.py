@@ -1,6 +1,8 @@
 """Grid expansion, results store, runner, aggregation."""
 
+import fcntl
 import json
+import os
 import sys
 import threading
 
@@ -196,6 +198,29 @@ class TestStore:
         assert len(lines) == 800
         assert all(json.loads(line)["status"] == "ok" for line in lines)
         assert len(store.load()) == 800
+
+    def test_append_waits_for_a_line_being_written(self, tmp_path):
+        # another appender holds the log's lock with half its line
+        # written; an append that read that tail now would start a fresh
+        # line and split the other record in two
+        store = ResultsStore(tmp_path / "s")
+        store.append({"run_key": "k1", "status": "ok"})
+        fd = os.open(store.results_path, os.O_WRONLY | os.O_APPEND)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            os.write(fd, b'{"run_key": "k2", "sta')
+            writer = threading.Thread(
+                target=store.append, args=({"run_key": "k3", "status": "ok"},))
+            writer.start()
+            writer.join(timeout=0.3)
+            assert writer.is_alive()
+            os.write(fd, b'tus": "ok"}\n')
+        finally:
+            os.close(fd)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        lines = store.results_path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["run_key"] for line in lines] == ["k1", "k2", "k3"]
 
     def test_compact_keeps_winners_only(self, tmp_path):
         store = ResultsStore(tmp_path / "s")

@@ -1,5 +1,7 @@
 """Truncation, batch packing, schedules, shard files."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,12 @@ from hypothesis import strategies as st
 
 from lusokit.errors import ConfigurationError
 from lusokit.packing import (
+    SHARD_MAGIC,
+    SHARD_VERSION,
     PackedBatch,
     TruncationSchedule,
     pack_batch,
+    pack_flat,
     plan_device_split,
     read_shard,
     stage_for_step,
@@ -100,6 +105,48 @@ class TestPackBatch:
             assert all(batch.token_ids[row][n:] == PAD)
 
 
+def reference_pack(seqs, cap, pad):
+    """The per-row loop pack_batch replaced: truncate, then fill each row."""
+    capped = [truncate(s, cap) for s in seqs]
+    width = min(cap, max(len(s) for s in capped))
+    token_ids = np.full((len(capped), width), pad, dtype="<i4")
+    mask = np.zeros((len(capped), width), dtype=np.uint8)
+    for row, s in enumerate(capped):
+        token_ids[row, : len(s)] = s.token_ids
+        mask[row, : len(s)] = 1
+    return token_ids, mask
+
+
+class TestFlatAssembly:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=2**31 - 1), min_size=0, max_size=40),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(min_value=2, max_value=24),
+        st.integers(min_value=0, max_value=9),
+    )
+    def test_equals_reference_loop(self, rows, cap, pad):
+        seqs = [seq(*row) for row in rows]
+        want_ids, want_mask = reference_pack(seqs, cap, pad)
+        flat = np.array([i for row in rows for i in row], dtype="<i4")
+        lengths = np.array([len(row) for row in rows])
+        for batch in (pack_batch(seqs, cap, pad), pack_flat(flat, lengths, cap, pad)):
+            assert batch.token_ids.dtype == np.dtype("<i4")
+            assert batch.attention_mask.dtype == np.uint8
+            assert np.array_equal(batch.token_ids, want_ids)
+            assert np.array_equal(batch.attention_mask, want_mask)
+            assert batch.stage_max_len == cap
+
+    def test_cap_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            pack_flat(np.array([CLS, SEP], dtype="<i4"), np.array([2]), 1, PAD)
+        with pytest.raises(ValueError):
+            pack_flat(np.array([], dtype="<i4"), np.array([], dtype=np.int64), 8, PAD)
+
+
 class TestDeviceSplit:
     def test_even_split(self):
         assert plan_device_split(3072, 16) == 192
@@ -168,6 +215,24 @@ class TestShards:
         assert back.stage_max_len == 16
         assert np.array_equal(back.token_ids, batch.token_ids)
         assert np.array_equal(back.attention_mask, batch.attention_mask)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 64])
+    def test_every_row_length_round_trips_byte_for_byte(self, tmp_path, width):
+        # rows of each length 1..width, shortest last so row order shows
+        seqs = [seq(*range(10, 10 + n)) for n in range(width, 0, -1)]
+        batch = pack_batch(seqs, max(width, 2), PAD)
+        assert batch.width == width
+        path = tmp_path / f"w{width}.bin"
+        write_shard(path, batch)
+        lengths = np.arange(width, 0, -1, dtype="<u4")
+        header = struct.pack("<4sHBBIII", SHARD_MAGIC, SHARD_VERSION, 4, 0, max(width, 2), width, width)
+        assert path.read_bytes() == header + lengths.tobytes() + batch.token_ids.astype("<i4").tobytes()
+        back = read_shard(path)
+        assert np.array_equal(back.token_ids, batch.token_ids)
+        assert np.array_equal(back.attention_mask, batch.attention_mask)
+        assert back.attention_mask.dtype == np.uint8
+        assert np.array_equal(back.lengths(), lengths)
+        back.token_ids[0, 0] = PAD  # a read shard is an ordinary writable array
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -14,6 +14,7 @@ from lusokit.tokenizer import (
     pieces_of,
     tokenize,
     tokenize_all,
+    tokenize_flat,
 )
 
 
@@ -143,6 +144,27 @@ class TestTokenizeAll:
             got = [seq.token_ids for seq in tokenize_all(texts, v)]
         assert got == [reference_tokenize(text, v) for text in texts]
         assert [tokenize(text, v).token_ids for text in texts] == got
+
+    @pytest.mark.parametrize("cache_max", [None, 2])
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=_pieces, texts=st.lists(_text, max_size=8), chunk=st.integers(1, 4))
+    @example(pieces=["a", "##b", "##bb"], texts=["a ab abb", "abb abbb", "x ab"], chunk=1)
+    def test_worker_memo_across_chunks_equals_reference(self, cache_max, pieces, texts, chunk):
+        # the pack worker path: one memo kept across a worker's chunks
+        v = Vocabulary.build(pieces)
+        memo = {}
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            if cache_max is not None:
+                mp.setattr(tokenizer, "WORD_CACHE_MAX", cache_max)
+            for start in range(0, len(texts), chunk):
+                ids, lengths = tokenize_flat(texts[start : start + chunk], v, memo)
+                assert sum(lengths) == len(ids)
+                for n in lengths:
+                    got.append(tuple(ids[:n]))
+                    del ids[:n]
+        assert got == [reference_tokenize(text, v) for text in texts]
+        assert len(memo) <= (cache_max or tokenizer.WORD_CACHE_MAX)
 
     def test_lazy_and_in_order(self):
         v = vocab_from("de", "##s")
