@@ -209,10 +209,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    import numpy as np
+    import os
+    from array import array
+    from contextlib import ExitStack
 
     from lusokit.fanout import process_map
-    from lusokit.packing import TruncationSchedule, pack_flat, plan_device_split, write_shard
+    from lusokit.packing import ShardWriter, TruncationSchedule, cap_rows, plan_device_split
     from lusokit.tokenizer import load_vocabulary, tokenize_flat
 
     if (args.global_batch is None) != (args.devices is None):
@@ -223,60 +225,71 @@ def _cmd_pack(args: argparse.Namespace) -> int:
             per_device_batch = plan_device_split(args.global_batch, args.devices)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from None
-    vocab = load_vocabulary(args.vocab)
     schedule = TruncationSchedule.parse(args.schedule)
+    caps = [cap for cap, _steps in schedule.stages]
+    vocab = load_vocabulary(args.vocab)
     records, _ = read_records(args.input)
     memo: dict = {}  # word -> ids; each worker fills its own copy
 
     def tokenize_chunk(texts):
+        """Per stage cap: capped ids as <i4 bytes, kept lengths, truncated rows."""
         ids, lengths = tokenize_flat(texts, vocab, memo)
-        return np.array(ids, dtype="<i4"), lengths
+        ids = array("i", ids)
+        return [(*cap_rows(ids, lengths, cap), sum(n > cap for n in lengths)) for cap in caps]
 
-    # Chunks' ids are appended to one growing buffer, so the flat ids
-    # never exist twice.
-    flat = bytearray()
-    lengths = []
-    texts = (record.text for record in records)
-    for chunk_ids, chunk_lengths in process_map(tokenize_chunk, _chunks(texts, CHUNK_RECORDS)):
-        flat += memoryview(chunk_ids)
-        lengths += chunk_lengths
-    del memo
-    if not lengths:
-        raise DataError(f"{args.input} has no records to pack")
-    ids = np.frombuffer(flat, dtype="<i4")
-    lengths = np.array(lengths, dtype=np.int64)
+    # Each stage streams to a partial file; all are renamed into place
+    # only once every stage has closed, and the manifest comes last.
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    shards = [f"stage_{cap}.bin" for cap in caps]
+    partials = [out_dir / f"{name}.partial" for name in shards]
+    truncated = [0] * len(caps)
+    texts = (record.text for record in records)
+    try:
+        with ExitStack() as stack:
+            writers = [
+                stack.enter_context(ShardWriter(path, cap, vocab.pad_id))
+                for path, cap in zip(partials, caps)
+            ]
+            for stages in process_map(tokenize_chunk, _chunks(texts, CHUNK_RECORDS)):
+                for i, (ids, kept, cut) in enumerate(stages):
+                    writers[i].append(ids, kept)
+                    truncated[i] += cut
+            if not writers[0].rows:
+                raise DataError(f"{args.input} has no records to pack")
+    except BaseException:
+        for path in partials:
+            path.unlink(missing_ok=True)
+        raise
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
+    for path, name in zip(partials, shards):
+        os.replace(path, out_dir / name)
+    rows = writers[0].rows
     manifest: dict = {
-        "records": len(lengths),
+        "records": rows,
         "schedule": [
             {"max_len": cap, "steps": steps} for cap, steps in schedule.stages
         ],
-        "stages": [],
-    }
-    for cap, _steps in schedule.stages:
-        batch = pack_flat(ids, lengths, cap, vocab.pad_id)
-        shard_name = f"stage_{cap}.bin"
-        write_shard(out_dir / shard_name, batch)
-        manifest["stages"].append(
+        "stages": [
             {
                 "max_len": cap,
-                "shard": shard_name,
-                "rows": batch.rows,
-                "width": batch.width,
-                "tokens": int(batch.lengths().sum()),
-                "truncated_rows": int(np.count_nonzero(lengths > cap)),
+                "shard": name,
+                "rows": writer.rows,
+                "width": max(writer.lengths),
+                "tokens": sum(writer.lengths),
+                "truncated_rows": cut,
             }
-        )
-        del batch
+            for cap, name, writer, cut in zip(caps, shards, writers, truncated)
+        ],
+    }
     if per_device_batch is not None:
         manifest["per_device_batch"] = per_device_batch
-    manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(
         json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
     print(
-        f"packed {len(lengths)} records into {len(schedule.stages)} stage shards "
+        f"packed {rows} records into {len(schedule.stages)} stage shards "
         f"under {out_dir}",
         file=sys.stderr,
     )

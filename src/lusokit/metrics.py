@@ -108,10 +108,17 @@ def pearson(xs: Sequence[float], ys: Sequence[float]):
     mean_y = math.fsum(ys) / n
     dx = [float(x) - mean_x for x in xs]
     dy = [float(y) - mean_y for y in ys]
+    top_x = max(map(abs, dx))
+    top_y = max(map(abs, dy))
+    if top_x == 0.0 or top_y == 0.0:
+        return UNDEFINED
+    # r is scale-free. Scaling each side by the power of two that brings
+    # its largest deviation near 1 keeps the squares clear of float
+    # underflow and overflow, and is exact, so other inputs keep their r.
+    dx = [math.ldexp(d, -math.frexp(top_x)[1]) for d in dx]
+    dy = [math.ldexp(d, -math.frexp(top_y)[1]) for d in dy]
     var_x = math.fsum(d * d for d in dx)
     var_y = math.fsum(d * d for d in dy)
-    if var_x == 0.0 or var_y == 0.0:
-        return UNDEFINED
     cov = math.fsum(a * b for a, b in zip(dx, dy))
     r = cov / math.sqrt(var_x * var_y)
     return max(-1.0, min(1.0, r))

@@ -5,29 +5,43 @@ budget (e.g. 128 tokens for 250k steps, then 256 for 80k, then 512 for
 60k). Within a stage, batches are padded dynamically: the batch width
 is its longest member, never the stage bound, which is only a cap.
 
-Shards are written one per stage with a self-describing binary header
-(magic, version, integer width, stage cap, matrix width, row count)
-followed by per-row lengths and the row-major token matrix.
+Shards are written one per stage and store their rows ragged: a
+self-describing 20-byte header (magic, version, integer width, stage
+cap, pad id, row count), then every row's kept ids back to back as
+little-endian int32 with no padding, then a footer of one little-endian
+uint32 kept length per row. ``ShardWriter`` streams a shard to disk and
+holds only the lengths; ``read_shard`` validates one and pads it on read
+into a dense ``PackedBatch``. Version 1 shards (dense matrices) are not
+readable: re-run ``lusokit pack``.
+
+numpy is imported only by the functions that build or take a
+``PackedBatch`` (``pack_flat``, ``pack_batch``, ``read_shard``,
+``write_shard``), so ``lusokit pack``, which streams through
+``cap_rows`` and ``ShardWriter``, never loads it.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from lusokit.errors import ConfigurationError
 from lusokit.tokenizer import TokenizedSequence
 
+if TYPE_CHECKING:
+    import numpy as np
+
 SHARD_MAGIC = b"LKPK"
-SHARD_VERSION = 1
-_TOKEN_DTYPE = np.dtype("<i4")
-_HEADER = struct.Struct("<4sHBBIII")  # magic, version, int width, pad, stage, width, rows
+SHARD_VERSION = 2
+_TOKEN_DTYPE = "<i4"
+_HEADER = struct.Struct("<4sHBxIiI")  # magic, version, int width, (reserved), stage, pad id, rows
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def truncate(seq: TokenizedSequence, max_len: int) -> TokenizedSequence:
@@ -78,6 +92,8 @@ def pack_flat(
     A row longer than the stage cap is truncated as ``truncate`` does:
     its first cap - 1 ids, then its last id. Row order is input order.
     """
+    import numpy as np
+
     if not len(lengths):
         raise ValueError("cannot pack an empty batch")
     if stage_max_len < 2:
@@ -107,11 +123,99 @@ def pack_batch(
     sep re-appended). Row order preserves input order; no real token is
     dropped or reordered beyond that truncation.
     """
+    import numpy as np
+
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     ids = np.fromiter(
         chain.from_iterable(s.token_ids for s in seqs), dtype=_TOKEN_DTYPE, count=int(lengths.sum())
     )
     return pack_flat(ids, lengths, stage_max_len, pad_id)
+
+
+def cap_rows(ids: array, lengths: Sequence[int], stage_max_len: int) -> tuple[bytes, list[int]]:
+    """Back-to-back rows capped at a stage, in a shard's id layout.
+
+    ids is an ``array("i")``; row i is the lengths[i] ids after the
+    first sum(lengths[:i]). A row longer than the cap is truncated as
+    ``truncate`` does: its first cap - 1 ids, then its last id. Returns
+    the kept ids back to back as little-endian int32 bytes, and each
+    row's kept length.
+    """
+    if stage_max_len < 2:
+        raise ValueError(f"max_len must be at least 2 (cls + sep), got {stage_max_len}")
+    kept = array("i")
+    run = start = 0  # run: first id of the stretch of rows not yet copied
+    for n in lengths:
+        if n > stage_max_len:
+            kept += ids[run : start + stage_max_len - 1]
+            kept.append(ids[start + n - 1])
+            run = start + n
+        start += n
+    kept += ids[run:start]
+    if _BIG_ENDIAN:
+        kept.byteswap()
+    return kept.tobytes(), [min(n, stage_max_len) for n in lengths]
+
+
+class ShardWriter:
+    """Streams one stage shard to path: append rows, then close.
+
+    Ids go to disk as they are appended; only the kept lengths stay in
+    memory (4 bytes a row) until close writes them as the footer and
+    rewrites the header with the row count. Used as a context manager,
+    it closes on a clean exit and removes its partial file when the
+    block raises.
+    """
+
+    def __init__(self, path: str | Path, stage_max_len: int, pad_id: int) -> None:
+        if stage_max_len < 2:
+            raise ValueError(f"max_len must be at least 2 (cls + sep), got {stage_max_len}")
+        self.path = Path(path)
+        self.stage_max_len = stage_max_len
+        self.pad_id = pad_id
+        self.lengths = array("I")
+        self._file = self.path.open("wb")
+        self._file.write(self._header())
+
+    def _header(self) -> bytes:
+        return _HEADER.pack(
+            SHARD_MAGIC, SHARD_VERSION, 4, self.stage_max_len, self.pad_id, len(self.lengths)
+        )
+
+    @property
+    def rows(self) -> int:
+        return len(self.lengths)
+
+    def append(self, ids: bytes, lengths: Sequence[int]) -> None:
+        """Add rows: their ids back to back as <i4 bytes, and their lengths."""
+        if lengths and not (min(lengths) >= 1 and max(lengths) <= self.stage_max_len):
+            raise ValueError(f"row lengths must lie in [1, {self.stage_max_len}]")
+        if len(ids) != 4 * sum(lengths):
+            raise ValueError(f"{len(ids)} id bytes for rows of {sum(lengths)} ids")
+        self._file.write(ids)
+        self.lengths.extend(lengths)
+
+    def close(self) -> None:
+        if self._file.closed:
+            return
+        footer = self.lengths
+        if _BIG_ENDIAN:
+            footer = array("I", footer)
+            footer.byteswap()
+        with self._file:
+            self._file.write(footer.tobytes())
+            self._file.seek(0)
+            self._file.write(self._header())
+
+    def __enter__(self) -> "ShardWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._file.close()
+            self.path.unlink(missing_ok=True)
 
 
 def plan_device_split(global_batch: int, devices: int) -> int:
@@ -130,7 +234,7 @@ def plan_device_split(global_batch: int, devices: int) -> int:
 
 @dataclass(frozen=True)
 class TruncationSchedule:
-    """Ordered (max_len, steps) stages with strictly increasing caps."""
+    """Ordered (max_len, steps) stages with strictly increasing caps of at least 2."""
 
     stages: tuple[tuple[int, int], ...]
 
@@ -139,6 +243,10 @@ class TruncationSchedule:
             raise ConfigurationError("schedule needs at least one stage")
         previous = 0
         for max_len, steps in self.stages:
+            if max_len < 2:
+                raise ConfigurationError(
+                    f"stage cap must be at least 2, got {max_len}: a row needs cls + sep"
+                )
             if max_len <= previous:
                 raise ConfigurationError(
                     f"stage caps must strictly increase, got {max_len} after {previous}"
@@ -191,40 +299,54 @@ def stage_for_step(schedule: TruncationSchedule, step: int) -> int:
 
 
 def write_shard(path: str | Path, batch: PackedBatch) -> None:
-    lengths = batch.lengths().astype("<u4")
-    header = _HEADER.pack(
-        SHARD_MAGIC,
-        SHARD_VERSION,
-        _TOKEN_DTYPE.itemsize,
-        0,
-        batch.stage_max_len,
-        batch.width,
-        batch.rows,
-    )
-    with Path(path).open("wb") as out:
-        out.write(header)
-        out.write(lengths)
-        out.write(np.ascontiguousarray(batch.token_ids, dtype=_TOKEN_DTYPE))
+    """Write a batch's rows as a stage shard; read_shard gives the batch back.
+
+    The shard's pad id is the id the batch's padding cells hold, or 0
+    when it has none. Padding cells that hold different ids raise
+    ValueError.
+    """
+    import numpy as np
+
+    real = batch.attention_mask.astype(bool)
+    pads = np.unique(batch.token_ids[~real])
+    if len(pads) > 1:
+        raise ValueError(f"padding cells hold {len(pads)} different ids; a shard has one pad id")
+    pad_id = int(pads[0]) if len(pads) else 0
+    ids = batch.token_ids[real].astype(_TOKEN_DTYPE)
+    with ShardWriter(path, batch.stage_max_len, pad_id) as writer:
+        writer.append(ids.tobytes(), batch.lengths().tolist())
 
 
 def read_shard(path: str | Path) -> PackedBatch:
+    """Validate a stage shard and pad its rows into a dense batch."""
+    import numpy as np
+
     with Path(path).open("rb") as handle:
         header = handle.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise ConfigurationError(f"shard {path} is too short to hold a header")
-        magic, version, int_width, _, stage, width, rows = _HEADER.unpack(header)
+        magic, version, int_width, stage, pad_id, rows = _HEADER.unpack(header)
         if magic != SHARD_MAGIC:
             raise ConfigurationError(f"shard {path} has bad magic {magic!r}")
-        if version != SHARD_VERSION or int_width != _TOKEN_DTYPE.itemsize:
+        if version != SHARD_VERSION:
             raise ConfigurationError(
-                f"shard {path} has unsupported version/int width {version}/{int_width}"
+                f"shard {path} is version {version}; only version {SHARD_VERSION} "
+                "is readable (re-run lusokit pack)"
             )
-        size = _HEADER.size + rows * 4 + rows * width * _TOKEN_DTYPE.itemsize
-        if os.fstat(handle.fileno()).st_size != size:
+        if int_width != 4:
+            raise ConfigurationError(f"shard {path} has unsupported int width {int_width}")
+        if rows < 1 or stage < 2:
+            raise ConfigurationError(f"shard {path} has {rows} rows under stage cap {stage}")
+        size = os.fstat(handle.fileno()).st_size
+        if size < _HEADER.size + 4 * rows:
             raise ConfigurationError(f"shard {path} payload size mismatch")
-        lengths = np.empty(rows, dtype="<u4")
-        token_ids = np.empty((rows, width), dtype=_TOKEN_DTYPE)
-        handle.readinto(lengths)
-        handle.readinto(token_ids)
-    mask = (np.arange(width) < lengths[:, None]).view(np.uint8)
-    return PackedBatch(token_ids=token_ids, attention_mask=mask, stage_max_len=stage)
+        handle.seek(size - 4 * rows)
+        lengths = np.frombuffer(handle.read(4 * rows), dtype="<u4")
+        if lengths.min() < 1 or lengths.max() > stage:
+            raise ConfigurationError(f"shard {path} has a row length outside [1, {stage}]")
+        tokens = int(lengths.sum(dtype=np.int64))
+        if size != _HEADER.size + 4 * tokens + 4 * rows:
+            raise ConfigurationError(f"shard {path} payload size mismatch")
+        handle.seek(_HEADER.size)
+        ids = np.frombuffer(handle.read(4 * tokens), dtype=_TOKEN_DTYPE)
+    return pack_flat(ids, lengths, stage, pad_id)

@@ -104,6 +104,18 @@ def test_fake_translate_leaves_requests_unloaded(tmp_path):
     assert run_python(code) == "0 False"
 
 
+def test_pack_and_packing_import_leave_numpy_unloaded(tmp_path):
+    # pack streams ragged shards through array/struct; only the dense
+    # PackedBatch functions import numpy
+    src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
+    argv = ["pack", "--input", src, "--vocab", VOCAB, "--schedule", "16:100,32:50",
+            "--output-dir", str(tmp_path / "packed")]
+    code = ("import sys; from lusokit.cli import dispatch; "
+            f"code = dispatch({argv!r}); print(code, 'numpy' in sys.modules)")
+    assert run_python(code) == "0 False"
+    assert run_python("import sys, lusokit.packing; print('numpy' in sys.modules)") == "False"
+
+
 class TestPipelineCommands:
     def test_ingest_reports_and_writes(self, tmp_path, capsys):
         src = jsonl(tmp_path / "raw.jsonl", [corpus_row(i, sample_text(i)) for i in range(4)])
@@ -195,6 +207,36 @@ class TestPipelineCommands:
              "--global-batch", "3072"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("schedule", ["1:10,128:10", "0:10"])
+    def test_pack_cap_below_two_fails_before_any_work(self, tmp_path, capsys, monkeypatch, schedule):
+        from lusokit import cli
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("read the input")
+
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
+        out_dir = tmp_path / "p"
+        monkeypatch.setattr(cli, "read_records", no_read)
+        code = dispatch(
+            ["pack", "--input", src, "--vocab", VOCAB,
+             "--schedule", schedule, "--output-dir", str(out_dir)]
+        )
+        assert code == 2
+        assert "a row needs cls + sep" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_pack_empty_input_leaves_no_shard_or_manifest(self, tmp_path, capsys):
+        src = tmp_path / "empty.jsonl"
+        src.write_text("", encoding="utf-8")
+        out_dir = tmp_path / "p"
+        code = dispatch(
+            ["pack", "--input", str(src), "--vocab", VOCAB,
+             "--schedule", "16:100,32:50", "--output-dir", str(out_dir)]
+        )
+        assert code == 1
+        assert "has no records to pack" in capsys.readouterr().err
+        assert list(out_dir.glob("*")) == []
 
     @pytest.mark.parametrize("batch, devices", [("63", "2"), ("0", "2"), ("64", "0")])
     def test_pack_bad_device_split_fails_before_any_work(self, tmp_path, capsys, batch, devices):
@@ -311,6 +353,32 @@ class TestProcessFanOut:
         code, _, _, err = self.curate(tmp_path, capsys, "c")
         assert code == 1
         assert "error: cannot filter r20" in err
+        assert len(forks) == 2
+
+    def test_pack_worker_exception_leaves_no_shard_or_manifest(self, tmp_path, capsys, monkeypatch, forks):
+        from lusokit import cli, fanout, tokenizer
+        from lusokit.errors import DataError
+
+        real = tokenizer.tokenize_flat
+        rows = map(json.loads, Path(fan_out_corpus(tmp_path / "in.jsonl")).read_text().splitlines())
+        marker = next(row["text"] for row in rows if row["id"] == "r20")
+
+        def failing(texts, vocab, memo):
+            if marker in texts:
+                raise DataError("cannot tokenize r20")
+            return real(texts, vocab, memo)
+
+        monkeypatch.setattr(tokenizer, "tokenize_flat", failing)
+        monkeypatch.setattr(fanout, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", 3)
+        out_dir = tmp_path / "p"
+        code = dispatch(
+            ["pack", "--input", str(tmp_path / "in.jsonl"), "--vocab", VOCAB,
+             "--schedule", "8:10,32:10,256:10", "--output-dir", str(out_dir)]
+        )
+        assert code == 1
+        assert "error: cannot tokenize r20" in capsys.readouterr().err
+        assert list(out_dir.glob("*")) == []
         assert len(forks) == 2
 
     def test_dead_worker_fails_the_command(self, tmp_path):

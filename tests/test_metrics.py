@@ -124,6 +124,12 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])
 
+    def test_tiny_deviations_keep_their_correlation(self):
+        # squared deviations near 1e-320 are subnormal and lose their digits
+        ys = [2.2424963906696927e-160, 0.0, 0.0]
+        assert abs(pearson([0, 1, 2], ys) - pearson([0.0, 0.25, 0.5], ys)) <= 1e-9
+        assert abs(pearson([0, 1, 2], ys) + math.sqrt(3) / 2) <= 1e-12
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(

@@ -1,6 +1,7 @@
 """Truncation, batch packing, schedules, shard files."""
 
 import struct
+from array import array
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from lusokit.packing import (
     SHARD_MAGIC,
     SHARD_VERSION,
     PackedBatch,
+    ShardWriter,
     TruncationSchedule,
+    cap_rows,
     pack_batch,
     pack_flat,
     plan_device_split,
@@ -181,6 +184,12 @@ class TestSchedule:
         with pytest.raises(ConfigurationError):
             TruncationSchedule(stages=((128, 10), (128, 10)))
 
+    @pytest.mark.parametrize("text", ["1:10,128:10", "0:10", "-4:10", "128:10,1:10"])
+    def test_caps_below_two_rejected(self, text):
+        with pytest.raises(ConfigurationError) as exc:
+            TruncationSchedule.parse(text)
+        assert "cls + sep" in str(exc.value)
+
     def test_steps_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             TruncationSchedule(stages=((128, 0),))
@@ -225,14 +234,83 @@ class TestShards:
         path = tmp_path / f"w{width}.bin"
         write_shard(path, batch)
         lengths = np.arange(width, 0, -1, dtype="<u4")
-        header = struct.pack("<4sHBBIII", SHARD_MAGIC, SHARD_VERSION, 4, 0, max(width, 2), width, width)
-        assert path.read_bytes() == header + lengths.tobytes() + batch.token_ids.astype("<i4").tobytes()
+        pad = PAD if width > 1 else 0  # one row of length 1 has no padding cell
+        header = struct.pack("<4sHBxIiI", SHARD_MAGIC, SHARD_VERSION, 4, max(width, 2), pad, width)
+        ragged = np.concatenate([np.arange(10, 10 + n) for n in lengths]).astype("<i4")
+        assert len(header) == 20
+        assert path.read_bytes() == header + ragged.tobytes() + lengths.tobytes()
         back = read_shard(path)
         assert np.array_equal(back.token_ids, batch.token_ids)
         assert np.array_equal(back.attention_mask, batch.attention_mask)
         assert back.attention_mask.dtype == np.uint8
         assert np.array_equal(back.lengths(), lengths)
         back.token_ids[0, 0] = PAD  # a read shard is an ordinary writable array
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=2**31 - 1), min_size=1, max_size=40),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(min_value=2, max_value=24),
+        st.integers(min_value=0, max_value=9),
+    )
+    def test_capped_rows_read_back_as_pack_flat(self, tmp_path_factory, rows, cap, pad):
+        flat = [i for row in rows for i in row]
+        lengths = [len(row) for row in rows]
+        ids, kept = cap_rows(array("i", flat), lengths, cap)
+        path = tmp_path_factory.mktemp("shard") / "s.bin"
+        with ShardWriter(path, cap, pad) as writer:
+            writer.append(ids, kept)
+        want = pack_flat(np.array(flat, dtype="<i4"), np.array(lengths), cap, pad)
+        got = read_shard(path)
+        assert got.token_ids.dtype == np.dtype("<i4")
+        assert got.attention_mask.dtype == np.uint8
+        assert np.array_equal(got.token_ids, want.token_ids)
+        assert np.array_equal(got.attention_mask, want.attention_mask)
+        assert got.stage_max_len == cap
+        assert kept == [min(n, cap) for n in lengths]
+
+    def test_write_of_read_is_byte_identical(self, tmp_path):
+        path = tmp_path / "stage_8.bin"
+        flat = [CLS, 5, 6, SEP, CLS, *range(10, 30), SEP, CLS, SEP]
+        with ShardWriter(path, 8, PAD) as writer:
+            writer.append(*cap_rows(array("i", flat), [4, 22, 2], 8))
+        again = tmp_path / "again.bin"
+        write_shard(again, read_shard(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_disagreeing_padding_cells_rejected(self, tmp_path):
+        batch = pack_batch([seq(CLS, 5, SEP), seq(CLS, SEP), seq(CLS, 5, 6, 7, SEP)], 8, PAD)
+        ids = batch.token_ids.copy()
+        ids[1, 4] = PAD + 1
+        with pytest.raises(ValueError):
+            write_shard(tmp_path / "x.bin", PackedBatch(ids, batch.attention_mask, 8))
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_batch_without_padding_stores_pad_zero(self, tmp_path):
+        batch = pack_batch([seq(CLS, 5, SEP), seq(CLS, 6, SEP)], 8, PAD)
+        path = tmp_path / "x.bin"
+        write_shard(path, batch)
+        assert struct.unpack_from("<i", path.read_bytes(), 12) == (0,)
+        assert np.array_equal(read_shard(path).token_ids, batch.token_ids)
+
+    def test_writer_rejects_rows_it_could_not_read_back(self, tmp_path):
+        with ShardWriter(tmp_path / "x.bin", 8, PAD) as writer:
+            for ids, lengths in [(b"", [0]), (b"\0" * 36, [9]), (b"\0" * 8, [3])]:
+                with pytest.raises(ValueError):
+                    writer.append(ids, lengths)
+            writer.append(b"\0" * 8, [2])
+        assert read_shard(tmp_path / "x.bin").rows == 1
+
+    def test_failed_write_removes_the_partial_file(self, tmp_path):
+        path = tmp_path / "x.bin"
+        with pytest.raises(RuntimeError):
+            with ShardWriter(path, 8, PAD) as writer:
+                writer.append(b"\0" * 8, [2])
+                raise RuntimeError("stop")
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -254,3 +332,48 @@ class TestShards:
         path.write_bytes(b"LK")
         with pytest.raises(ConfigurationError):
             read_shard(path)
+
+    def shard(self, tmp_path):
+        """Bytes of a valid cap-8 shard with rows of 3, 1 and 8 ids."""
+        path = tmp_path / "valid.bin"
+        with ShardWriter(path, 8, PAD) as writer:
+            writer.append(array("i", range(12)).tobytes(), [3, 1, 8])
+        return path.read_bytes()
+
+    def rejected(self, tmp_path, data):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        with pytest.raises(ConfigurationError) as exc:
+            read_shard(path)
+        return str(exc.value)
+
+    def test_version_1_rejected_by_name(self, tmp_path):
+        # a v1 shard: header with width, lengths, then the dense matrix
+        header = struct.pack("<4sHBBIII", SHARD_MAGIC, 1, 4, 0, 8, 2, 1)
+        data = header + struct.pack("<I", 2) + struct.pack("<2i", CLS, SEP)
+        assert "version 1" in self.rejected(tmp_path, data)
+
+    def test_lengths_disagreeing_with_file_size_rejected(self, tmp_path):
+        data = bytearray(self.shard(tmp_path))
+        data[-4:] = struct.pack("<I", 7)  # last row 8 -> 7 ids
+        self.rejected(tmp_path, bytes(data))
+
+    def test_zero_length_rejected(self, tmp_path):
+        data = bytearray(self.shard(tmp_path))
+        data[-8:-4] = struct.pack("<I", 0)  # the second row's one id goes...
+        del data[20:24]  # ...and so does one id of the payload: the size agrees
+        self.rejected(tmp_path, bytes(data))
+
+    def test_length_over_cap_rejected(self, tmp_path):
+        data = bytearray(self.shard(tmp_path))
+        data[-12:] = struct.pack("<3I", 2, 1, 9)  # same 12 ids, the last row over the cap of 8
+        self.rejected(tmp_path, bytes(data))
+
+    def test_zero_rows_rejected(self, tmp_path):
+        header = struct.pack("<4sHBxIiI", SHARD_MAGIC, SHARD_VERSION, 4, 8, PAD, 0)
+        self.rejected(tmp_path, header)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        data = self.shard(tmp_path)
+        for cut in (1, 4, 8, len(data) - 20):
+            self.rejected(tmp_path, data[:-cut])
