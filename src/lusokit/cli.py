@@ -12,25 +12,27 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
-from itertools import islice, tee
+from collections import Counter
+from contextlib import ExitStack
+from functools import reduce
+from itertools import count, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from lusokit import DEFAULT_SPLIT_SEED, __version__
 from lusokit.corpus_io import (
     FORMAT_LINE_DELIMITED,
     FORMAT_PLAIN_TEXT_BLOCKS,
+    IngestReport,
+    Source,
     parse_source,
-    read_records,
+    parse_units,
+    read_units,
     record_to_json,
-    write_records,
 )
 from lusokit.errors import ConfigurationError, DataError
-
-if TYPE_CHECKING:
-    from lusokit.config import PipelineConfig
-    from lusokit.curation import Blocklist
 
 # Each command imports the rest of what it uses, so no command pays at
 # start-up for another's modules (yaml, numpy, requests, the experiment
@@ -38,21 +40,83 @@ if TYPE_CHECKING:
 
 log = logging.getLogger("lusokit")
 
-_FORMAT_ALIASES = {
-    "jsonl": FORMAT_LINE_DELIMITED,
-    "blocks": FORMAT_PLAIN_TEXT_BLOCKS,
-}
+_FORMAT_ALIASES = {"jsonl": FORMAT_LINE_DELIMITED, "blocks": FORMAT_PLAIN_TEXT_BLOCKS}
+
+
+# Input units (lines, or blocks for --format blocks) per chunk a worker
+# process handles: each chunk costs a round trip to a worker, each unit
+# in flight costs memory (at most two chunks per worker are).
+CHUNK_RECORDS = 256
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except FileNotFoundError:
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _map_corpus(
+    path: str, work: Callable, outputs: Sequence[Optional[str]] = (),
+    format: str = FORMAT_LINE_DELIMITED, default_source: Source = Source.OTHER,
+    parent: Optional[Callable] = None,
+) -> tuple[Iterator, IngestReport]:
+    """(values, report) of work over the records of the corpus at path.
+
+    ``process_map``'s workers parse chunks of CHUNK_RECORDS raw units
+    (``read_units``, ``parse_units``) and return work(records): UTF-8 bytes
+    per output path and a value, or what parent turns into that pair here.
+    The bytes are written in input order (a None path's to devnull);
+    report sums the ingest counts once the values are exhausted. An output
+    that is the input or another output is refused before any is opened.
+    """
+    from lusokit.fanout import process_map
+
+    named = [out for out in outputs if out]
+    for i, out in enumerate(named):
+        for other in [path, *named[:i]]:
+            if _same_file(out, other):
+                raise ConfigurationError(f"output {out} is the same file as {other}")
+    handle = open(path, "rb")  # an unreadable input fails here, before any output exists
+    units = read_units(handle, format)
+    chunks = iter(lambda: list(islice(units, CHUNK_RECORDS)), [])
+    starts = count(0, CHUNK_RECORDS)  # every chunk but the last is full
+    report = IngestReport()
+
+    def run(chunk):
+        start, raw = chunk
+        records, counts = parse_units(raw, start, format, default_source, Path(path).name)
+        return work(list(records)), counts
+
+    def values():
+        with handle, ExitStack() as stack:
+            files = [stack.enter_context(open(out or os.devnull, "wb")) for out in outputs]
+            for result, counts in process_map(run, zip(starts, chunks)):
+                texts, value = parent(result) if parent else result
+                for file, text in zip(files, texts):
+                    file.write(text)
+                report.records_read += counts.records_read
+                report.records_malformed += counts.records_malformed
+                report.bytes_read += counts.bytes_read
+                yield value
+
+    return values(), report
+
+
+def _jsonl(records) -> bytes:
+    return "".join(record_to_json(record) + "\n" for record in records).encode("utf-8")
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    records, report = read_records(
+    written, report = _map_corpus(
         args.input,
-        format=_FORMAT_ALIASES[args.format],
-        default_source=parse_source(args.source),
+        lambda records: ([_jsonl(records)], len(records)),
+        [args.output],
+        _FORMAT_ALIASES[args.format],
+        parse_source(args.source),
     )
-    written = write_records(records, args.output)
     print(
-        f"ingested {written} records "
+        f"ingested {sum(written)} records "
         f"({report.records_malformed} malformed units skipped, "
         f"{report.bytes_read} bytes read)",
         file=sys.stderr,
@@ -63,31 +127,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_split_variant(args: argparse.Namespace) -> int:
     from lusokit.variants import Variant, classify_variant
 
-    records, _ = read_records(args.input)
-    outputs = {
-        Variant.PTPT: Path(args.output_ptpt).open("w", encoding="utf-8"),
-        Variant.PTBR: Path(args.output_ptbr).open("w", encoding="utf-8"),
-    }
-    discard_handle = (
-        Path(args.output_discard).open("w", encoding="utf-8")
-        if args.output_discard
-        else None
-    )
-    counts = {Variant.PTPT: 0, Variant.PTBR: 0, Variant.DISCARD: 0}
-    try:
-        for record in records:
-            variant = classify_variant(record)
-            counts[variant] += 1
-            if variant is Variant.DISCARD:
-                if discard_handle is not None:
-                    discard_handle.write(record_to_json(record) + "\n")
-                continue
-            outputs[variant].write(record_to_json(record) + "\n")
-    finally:
-        for handle in outputs.values():
-            handle.close()
-        if discard_handle is not None:
-            discard_handle.close()
+    def split(records):
+        variants = list(map(classify_variant, records))
+        texts = [_jsonl(r for r, v in zip(records, variants) if v is want) for want in Variant]
+        return texts, Counter(variants)
+
+    outputs = [args.output_ptpt, args.output_ptbr, args.output_discard]  # in Variant order
+    counts = sum(_map_corpus(args.input, split, outputs)[0], Counter())
     print(
         f"ptpt={counts[Variant.PTPT]} ptbr={counts[Variant.PTBR]} "
         f"discarded={counts[Variant.DISCARD]}",
@@ -96,49 +142,24 @@ def _cmd_split_variant(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_blocklist(args: argparse.Namespace, cfg: Optional[PipelineConfig]) -> Blocklist:
-    from lusokit.config import load_domain_list
-    from lusokit.curation import Blocklist
-
-    exact = frozenset()
-    suffix = frozenset()
-    if cfg is not None:
-        block = cfg.make_blocklist()
-        exact, suffix = block.exact_domains, block.suffix_domains
-    if getattr(args, "blocklist_exact", None):
-        exact = exact | load_domain_list(args.blocklist_exact)
-    if getattr(args, "blocklist_suffix", None):
-        suffix = suffix | load_domain_list(args.blocklist_suffix)
-    return Blocklist(exact_domains=exact, suffix_domains=suffix)
-
-
-# Records (curate) or texts (pack) per chunk a worker process handles.
-CHUNK_RECORDS = 64
-
-
-def _chunks(items, size: int):
-    items = iter(items)
-    return iter(lambda: list(islice(items, size)), [])
-
-
 def _cmd_curate(args: argparse.Namespace) -> int:
     import numpy  # noqa: F401  (the quality rules use it; imported once, before the workers fork)
+    from dataclasses import asdict
 
-    from lusokit.config import PipelineConfig
-    from lusokit.curation import FilterConfig, curate_stream
-    from lusokit.fanout import process_map
+    from lusokit.config import PipelineConfig, load_domain_list
+    from lusokit.curation import Blocklist, FilterConfig, curate_stream
 
     pipeline_cfg = PipelineConfig.load(args.config) if args.config else None
-    filter_cfg = (
-        pipeline_cfg.make_filter_config()
-        if pipeline_cfg is not None
-        else FilterConfig.default()
-    )
-    blocklist = _load_blocklist(args, pipeline_cfg)
-    records, _ = read_records(args.input)
+    filter_cfg = pipeline_cfg.make_filter_config() if pipeline_cfg else FilterConfig.default()
+    block = pipeline_cfg.make_blocklist() if pipeline_cfg else Blocklist()
+    exact, suffix = block.exact_domains, block.suffix_domains
+    if args.blocklist_exact:
+        exact |= load_domain_list(args.blocklist_exact)
+    if args.blocklist_suffix:
+        suffix |= load_domain_list(args.blocklist_suffix)
+    blocklist = Blocklist(exact_domains=exact, suffix_domains=suffix)
 
-    def curate_chunk(chunk):
-        """(kept positions, reject rows, (kept, blocklisted, rejected))."""
+    def curate(records):
         rows = []
 
         def on_reject(record, stage, decision):
@@ -147,50 +168,41 @@ def _cmd_curate(args: argparse.Namespace) -> int:
                 obj["rule"] = decision.rejected_by
             rows.append(json.dumps(obj, ensure_ascii=False) + "\n")
 
-        kept, stats = curate_stream(
-            chunk, filter_cfg, blocklist, on_reject=on_reject if args.rejects else None
-        )
-        position = {id(record): i for i, record in enumerate(chunk)}
-        positions = [position[id(record)] for record in kept]
-        return positions, rows, (stats.kept, stats.blocklisted, stats.rejected)
+        kept, stats = curate_stream(records, filter_cfg, blocklist, on_reject=on_reject)
+        texts = [_jsonl(kept), "".join(rows).encode("utf-8")]  # stats, rows final once kept is read
+        return texts, Counter(asdict(stats))
 
-    rejects_handle = (
-        Path(args.rejects).open("w", encoding="utf-8") if args.rejects else None
+    counts = sum(_map_corpus(args.input, curate, [args.output, args.rejects])[0], Counter())
+    print(
+        f"kept={counts['kept']} blocklisted={counts['blocklisted']} rejected={counts['rejected']}",
+        file=sys.stderr,
     )
-    totals = [0, 0, 0]
-
-    def kept_records():
-        chunks, to_workers = tee(_chunks(records, CHUNK_RECORDS))
-        for chunk, (positions, rows, counts) in zip(chunks, process_map(curate_chunk, to_workers)):
-            if rejects_handle is not None:
-                rejects_handle.writelines(rows)
-            for i, n in enumerate(counts):
-                totals[i] += n
-            for i in positions:
-                yield chunk[i]
-
-    try:
-        write_records(kept_records(), args.output)
-    finally:
-        if rejects_handle is not None:
-            rejects_handle.close()
-    kept, blocklisted, rejected = totals
-    print(f"kept={kept} blocklisted={blocklisted} rejected={rejected}", file=sys.stderr)
     return 0
 
 
 def _cmd_dedup(args: argparse.Namespace) -> int:
-    from lusokit.curation import dedup_exact
+    from lusokit.curation import text_digest
 
-    records, _ = read_records(args.input)
-    unique, stats = dedup_exact(records)
-    write_records(unique, args.output)
-    print(f"kept={stats.kept} duplicates={stats.duplicates}", file=sys.stderr)
+    seen: set[bytes] = set()
+
+    def first_wins(pairs):
+        lines = []
+        for digest, line in pairs:
+            if digest not in seen:
+                seen.add(digest)
+                lines.append(line)
+        return [b"".join(lines)], Counter(kept=len(lines), duplicates=len(pairs) - len(lines))
+
+    def digests(records):
+        return [(text_digest(r.text), _jsonl([r])) for r in records]
+
+    counts = sum(_map_corpus(args.input, digests, [args.output], parent=first_wins)[0], Counter())
+    print(f"kept={counts['kept']} duplicates={counts['duplicates']}", file=sys.stderr)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from lusokit.stats import Scale, count_stats, render_report, render_tsv
+    from lusokit.stats import CorpusStats, Scale, count_stats, render_report, render_tsv
 
     names = args.names.split(",") if args.names else None
     if names is not None and len(names) != len(args.input):
@@ -199,9 +211,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
     all_stats = []
     for i, path in enumerate(args.input):
-        records, _ = read_records(path)
         name = names[i] if names else Path(path).stem
-        all_stats.append(count_stats(records, name))
+        counts, _ = _map_corpus(path, lambda records, name=name: ([], count_stats(records, name)))
+        all_stats.append(reduce(CorpusStats.merged, counts, CorpusStats(name)))
     scale = Scale.MILLIONS_BILLIONS if args.scale == "mb" else Scale.UNIT
     renderer = render_tsv if args.tsv else render_report
     print(renderer(all_stats, scale))
@@ -209,11 +221,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    import os
     from array import array
-    from contextlib import ExitStack
 
-    from lusokit.fanout import process_map
     from lusokit.packing import ShardWriter, TruncationSchedule, cap_rows, plan_device_split
     from lusokit.tokenizer import load_vocabulary, tokenize_flat
 
@@ -228,14 +237,15 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     schedule = TruncationSchedule.parse(args.schedule)
     caps = [cap for cap, _steps in schedule.stages]
     vocab = load_vocabulary(args.vocab)
-    records, _ = read_records(args.input)
     memo: dict = {}  # word -> ids; each worker fills its own copy
 
-    def tokenize_chunk(texts):
+    def tokenize_chunk(records):
         """Per stage cap: capped ids as <i4 bytes, kept lengths, truncated rows."""
-        ids, lengths = tokenize_flat(texts, vocab, memo)
+        ids, lengths = tokenize_flat([record.text for record in records], vocab, memo)
         ids = array("i", ids)
-        return [(*cap_rows(ids, lengths, cap), sum(n > cap for n in lengths)) for cap in caps]
+        return [], [(*cap_rows(ids, lengths, cap), sum(n > cap for n in lengths)) for cap in caps]
+
+    chunk_stages, _ = _map_corpus(args.input, tokenize_chunk)
 
     # Each stage streams to a partial file; all are renamed into place
     # only once every stage has closed, and the manifest comes last.
@@ -244,14 +254,13 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     shards = [f"stage_{cap}.bin" for cap in caps]
     partials = [out_dir / f"{name}.partial" for name in shards]
     truncated = [0] * len(caps)
-    texts = (record.text for record in records)
     try:
         with ExitStack() as stack:
             writers = [
                 stack.enter_context(ShardWriter(path, cap, vocab.pad_id))
                 for path, cap in zip(partials, caps)
             ]
-            for stages in process_map(tokenize_chunk, _chunks(texts, CHUNK_RECORDS)):
+            for stages in chunk_stages:
                 for i, (ids, kept, cut) in enumerate(stages):
                     writers[i].append(ids, kept)
                     truncated[i] += cut
@@ -335,6 +344,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 def _cmd_translate(args: argparse.Namespace) -> int:
     import dataclasses
 
+    from lusokit.corpus_io import read_records, write_records
     from lusokit.translate import (
         FakeReversingClient,
         HttpMTClient,
@@ -342,8 +352,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         translate_dataset,
     )
 
-    records, _ = read_records(args.input)
-    materialized = list(records)
+    materialized = list(read_records(args.input)[0])
     texts = [record.text for record in materialized]
     if args.fake:
         client = FakeReversingClient()
@@ -360,13 +369,9 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         max_workers=args.max_workers,
     )
-    written = 0
-    with Path(args.output).open("w", encoding="utf-8") as out:
-        for record, translation in zip(materialized, outcome.translations):
-            if translation is None:
-                continue
-            out.write(record_to_json(dataclasses.replace(record, text=translation)) + "\n")
-            written += 1
+    pairs = zip(materialized, outcome.translations)
+    translated = [dataclasses.replace(r, text=t) for r, t in pairs if t is not None]
+    written = write_records(translated, args.output)
     for idx, message in outcome.rejects:
         log.debug("rejected input %d: %s", idx, message)
     print(
@@ -641,15 +646,9 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DataError) else 2
 
 
 def main() -> None:

@@ -11,7 +11,8 @@ Two on-disk shapes are supported:
 Readers are generators with O(1) memory in the file size; malformed
 lines are counted and skipped, never abort the stream. Invalid byte
 sequences are replaced with U+FFFD rather than rejected, because the
-heavy filtering happens downstream in curation, not at ingest.
+heavy filtering happens downstream in curation, not at ingest. One
+UTF-8 byte order mark at the very start of a file is dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -93,38 +94,103 @@ def read_records(
 
     The report object is shared with the generator and carries the final
     counts once the stream has been fully consumed. An unreadable path
-    raises immediately; malformed content never does.
+    raises immediately; malformed content never does. The records are
+    ``parse_units`` over the file's ``read_units``.
 
     Note: id uniqueness within a file is an input contract, not checked
     here; tracking seen ids would break the bounded-memory guarantee of
     streaming reads.
     """
     path = Path(path)
+    _check_format(format)
+    handle = path.open("rb")  # propagate unreadable-path errors eagerly
+
+    def units() -> Iterator[bytes]:
+        with handle:
+            yield from read_units(handle, format)
+
+    return parse_units(units(), 0, format, default_source, path.name)
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+def _check_format(format: str) -> None:
     if format not in (FORMAT_LINE_DELIMITED, FORMAT_PLAIN_TEXT_BLOCKS):
         raise ValueError(f"unknown corpus format: {format!r}")
-    handle = path.open("rb")  # propagate unreadable-path errors eagerly
+
+
+def _decode(raw: bytes, file_start: bool) -> str:
+    """Text of raw bytes; at the start of a file, without one leading byte order mark."""
+    return (raw.removeprefix(_BOM) if file_start else raw).decode("utf-8", errors="replace")
+
+
+def read_units(handle: BinaryIO, format: str = FORMAT_LINE_DELIMITED) -> Iterator[bytes]:
+    """Split a binary corpus stream into the raw units ``parse_units`` reads.
+
+    A unit is one line (newline included) in line-delimited mode. In
+    block mode it is one block's lines with the blank lines before it;
+    blank lines at the end of the stream form a last unit of their own.
+    Every byte of the stream is in exactly one unit.
+    """
+    _check_format(format)
+    if format == FORMAT_LINE_DELIMITED:
+        return iter(handle)
+    return _blocks(handle)
+
+
+def _blocks(handle: BinaryIO) -> Iterator[bytes]:
+    unit: list[bytes] = []
+    has_text = False
+    for line_no, raw in enumerate(handle):
+        blank = not _decode(raw, line_no == 0).strip()
+        if blank and has_text:
+            yield b"".join(unit)
+            unit, has_text = [], False
+        unit.append(raw)
+        has_text = has_text or not blank
+    if unit:
+        yield b"".join(unit)
+
+
+def parse_units(
+    units: Iterable[bytes],
+    start: int = 0,
+    format: str = FORMAT_LINE_DELIMITED,
+    default_source: Source = Source.OTHER,
+    name: str = "",
+) -> tuple[Iterator[CorpusRecord], IngestReport]:
+    """Parse raw units as ``read_units`` splits them; (record stream, report).
+
+    start is the index of the first unit in its file, so a file may be
+    parsed whole or in chunks with the same records: unit i is line i + 1
+    (a record without an id gets one synthesized from its text and line
+    number) or block i (id ``name#i``). The file's first unit (start 0)
+    loses one leading UTF-8 byte order mark; bytes_read still counts it.
+    The report is final once the stream is exhausted.
+    """
+    _check_format(format)
     report = IngestReport()
     if format == FORMAT_LINE_DELIMITED:
-        stream = _read_line_delimited(handle, report, default_source)
+        stream = _parse_lines(units, start, default_source, report)
     else:
-        stream = _read_plain_text_blocks(handle, path.name, report, default_source)
+        stream = _parse_blocks(units, start, name, default_source, report)
     return stream, report
 
 
-def _read_line_delimited(
-    handle, report: IngestReport, default_source: Source
+def _parse_lines(
+    units: Iterable[bytes], start: int, default_source: Source, report: IngestReport
 ) -> Iterator[CorpusRecord]:
-    with handle:
-        for line_no, raw in enumerate(handle, start=1):
-            report.bytes_read += len(raw)
-            line = raw.decode("utf-8", errors="replace").strip()
-            record = _parse_record_line(line, line_no, default_source)
-            if record is None:
-                report.records_malformed += 1
-                log.debug("skipping malformed line %d", line_no)
-            else:
-                report.records_read += 1
-                yield record
+    for index, raw in enumerate(units, start):
+        report.bytes_read += len(raw)
+        line = _decode(raw, index == 0).strip()
+        record = _parse_record_line(line, index + 1, default_source)
+        if record is None:
+            report.records_malformed += 1
+            log.debug("skipping malformed line %d", index + 1)
+        else:
+            report.records_read += 1
+            yield record
 
 
 def _parse_record_line(
@@ -160,36 +226,18 @@ def _parse_record_line(
     )
 
 
-def _read_plain_text_blocks(
-    handle, filename: str, report: IngestReport, default_source: Source
+def _parse_blocks(
+    units: Iterable[bytes], start: int, name: str, default_source: Source, report: IngestReport
 ) -> Iterator[CorpusRecord]:
-    block_index = 0
-    pending: list[str] = []
-    with handle:
-        for raw in handle:
-            report.bytes_read += len(raw)
-            line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
-            if line.strip():
-                pending.append(line)
-            elif pending:
-                yield _block_record(filename, block_index, pending, default_source)
-                report.records_read += 1
-                block_index += 1
-                pending = []
-        if pending:
-            yield _block_record(filename, block_index, pending, default_source)
+    for index, raw in enumerate(units, start):
+        report.bytes_read += len(raw)
+        text = _decode(raw, index == 0)
+        lines = [line.rstrip("\r") for line in text.split("\n") if line.strip()]
+        if lines:
             report.records_read += 1
-
-
-def _block_record(
-    filename: str, index: int, lines: list[str], source: Source
-) -> CorpusRecord:
-    return CorpusRecord(
-        id=f"{filename}#{index}",
-        text="\n".join(lines),
-        url=None,
-        source=source,
-    )
+            yield CorpusRecord(
+                id=f"{name}#{index}", text="\n".join(lines), url=None, source=default_source
+            )
 
 
 def record_to_json(record: CorpusRecord) -> str:

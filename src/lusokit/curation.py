@@ -221,6 +221,11 @@ class DedupStats:
     duplicates: int = 0
 
 
+def text_digest(text: str) -> bytes:
+    """The key exact dedup compares: a digest of the whitespace-normalized text."""
+    return hashlib.blake2b(normalize_whitespace(text).encode("utf-8"), digest_size=16).digest()
+
+
 def dedup_exact(records: Iterable[CorpusRecord]) -> tuple[Iterator[CorpusRecord], DedupStats]:
     """Drop exact duplicates by whitespace-normalized text content.
 
@@ -233,8 +238,7 @@ def dedup_exact(records: Iterable[CorpusRecord]) -> tuple[Iterator[CorpusRecord]
     def stream() -> Iterator[CorpusRecord]:
         seen: set[bytes] = set()
         for record in records:
-            normalized = normalize_whitespace(record.text)
-            digest = hashlib.blake2b(normalized.encode("utf-8"), digest_size=16).digest()
+            digest = text_digest(record.text)
             if digest in seen:
                 stats.duplicates += 1
                 continue

@@ -22,6 +22,7 @@ from lusokit.experiments.grid import (
     make_run_key,
 )
 from lusokit.experiments.store import STATUS_OK
+from lusokit.textutil import render_tsv_rows
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,5 @@ def render_cell_table(cells: Sequence[CellResult]) -> str:
 
 
 def render_cell_tsv(cells: Sequence[CellResult]) -> str:
-    lines = ["model\ttask\tvalue\tok_runs\texpected_runs"]
-    for cell in cells:
-        lines.append(
-            f"{cell.model}\t{cell.task}\t{cell.display()}\t"
-            f"{cell.ok_runs}\t{cell.expected_runs}"
-        )
-    return "\n".join(lines)
+    rows = [(c.model, c.task, c.display(), str(c.ok_runs), str(c.expected_runs)) for c in cells]
+    return render_tsv_rows([("model", "task", "value", "ok_runs", "expected_runs"), *rows])

@@ -1,12 +1,11 @@
 """Fan-out loops: threads for the MT batcher and the run-matrix executor,
-forked processes for the CPU-bound corpus commands (curate, pack)."""
+forked processes for the corpus commands (ingest through pack)."""
 
 from __future__ import annotations
 
 import os
 import threading
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -22,6 +21,10 @@ def fan_out(fn: Callable[[T], R], items: Iterable[T], max_workers: int) -> Itera
     another item is submitted: after a failure only the calls already
     running complete, and no new one starts.
     """
+    # imported here: every corpus command loads this module for
+    # process_map, and an input of one chunk needs no pool at all
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
     todo = iter(items)
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         running = {pool.submit(fn, item) for item in islice(todo, max_workers)}

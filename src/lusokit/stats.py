@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Iterable
 
 from lusokit.corpus_io import CorpusRecord
-from lusokit.textutil import word_count
+from lusokit.textutil import render_tsv_rows, word_count
 
 
 class Scale(Enum):
@@ -82,5 +82,4 @@ def render_report(stats: list[CorpusStats], scale: Scale = Scale.UNIT) -> str:
 
 def render_tsv(stats: list[CorpusStats], scale: Scale = Scale.UNIT) -> str:
     """Machine-readable variant of render_report."""
-    rows = [_header(scale)] + [_cells(s, scale) for s in stats]
-    return "\n".join("\t".join(row) for row in rows)
+    return render_tsv_rows([_header(scale)] + [_cells(s, scale) for s in stats])

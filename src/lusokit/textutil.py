@@ -1,4 +1,4 @@
-"""Shared text measurement helpers.
+"""Shared text measurement and rendering helpers.
 
 A "word" throughout the toolkit is a maximal run of non-whitespace
 Unicode characters; every module that counts words goes through these
@@ -6,6 +6,8 @@ helpers so counts agree everywhere.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 
 def words(text: str) -> list[str]:
@@ -19,3 +21,8 @@ def word_count(text: str) -> int:
 def normalize_whitespace(text: str) -> str:
     """Collapse any whitespace runs to single spaces and trim the ends."""
     return " ".join(text.split())
+
+
+def render_tsv_rows(rows: Iterable[Sequence[str]]) -> str:
+    """Rows of cells as tab-separated lines, without a trailing newline."""
+    return "\n".join("\t".join(row) for row in rows)

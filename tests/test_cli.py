@@ -116,6 +116,16 @@ def test_pack_and_packing_import_leave_numpy_unloaded(tmp_path):
     assert run_python("import sys, lusokit.packing; print('numpy' in sys.modules)") == "False"
 
 
+def test_one_chunk_corpus_command_loads_no_pool(tmp_path):
+    # an input of one chunk runs in the command's own process, so it pays
+    # nothing for the process pool's or the thread pool's modules
+    src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
+    argv = ["dedup", "--input", src, "--output", str(tmp_path / "out.jsonl")]
+    code = ("import sys; from lusokit.cli import dispatch; code = dispatch("
+            f"{argv!r}); print(code, sorted({{'multiprocessing', 'concurrent.futures'}} & set(sys.modules)))")
+    assert run_python(code) == "0 []"
+
+
 class TestPipelineCommands:
     def test_ingest_reports_and_writes(self, tmp_path, capsys):
         src = jsonl(tmp_path / "raw.jsonl", [corpus_row(i, sample_text(i)) for i in range(4)])
@@ -183,6 +193,33 @@ class TestPipelineCommands:
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "a b c")])
         assert dispatch(["stats", "--input", src, src, "--names", "um"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--output", "{input}"],
+        ["dedup", "--output", "{input}"],
+        ["curate", "--output", "{new}", "--rejects", "{input}"],
+        ["curate", "--output", "{new}", "--rejects", "{new}"],
+        ["split-variant", "--output-ptpt", "{old}", "--output-ptbr", "{old}"],
+        ["split-variant", "--output-ptpt", "{new}", "--output-ptbr", "{sub}/../new.jsonl"],
+        ["split-variant", "--output-ptpt", "{new}", "--output-ptbr", "{old}",
+         "--output-discard", "{link}"],
+    ], ids=["ingest", "dedup", "rejects-input", "rejects-output", "ptpt-ptbr", "spelled-apart",
+            "hard-link"])
+    def test_output_that_is_the_input_or_another_output_is_refused(self, tmp_path, capsys, argv):
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
+        old = tmp_path / "old.jsonl"
+        old.write_bytes(b"kept as it was\n")
+        link = tmp_path / "link.jsonl"
+        os.link(src, link)  # the input under another name
+        before = Path(src).read_bytes()
+        paths = {"input": src, "old": old, "new": tmp_path / "new.jsonl", "link": link,
+                 "sub": tmp_path / "sub"}
+        argv = [argv[0], "--input", src, *(arg.format(**paths) for arg in argv[1:])]
+        assert dispatch(argv) == 2
+        assert "is the same file as" in capsys.readouterr().err
+        assert Path(src).read_bytes() == before
+        assert old.read_bytes() == b"kept as it was\n"
+        assert not (tmp_path / "new.jsonl").exists()
+
     def test_pack_writes_manifest_and_shards(self, tmp_path, capsys):
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
         out_dir = tmp_path / "packed"
@@ -217,7 +254,7 @@ class TestPipelineCommands:
 
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
         out_dir = tmp_path / "p"
-        monkeypatch.setattr(cli, "read_records", no_read)
+        monkeypatch.setattr(cli, "_map_corpus", no_read)
         code = dispatch(
             ["pack", "--input", src, "--vocab", VOCAB,
              "--schedule", schedule, "--output-dir", str(out_dir)]
@@ -268,7 +305,7 @@ def forks(monkeypatch):
     return started
 
 
-def fan_out_corpus(path):
+def fan_out_rows():
     """Clean, rule-breaking, blocklisted and over-long records, mixed."""
     rng = random.Random(11)
     rules = ["min_words", "char_repetition", "word_repetition", "special_char", "stopword"]
@@ -281,11 +318,53 @@ def fan_out_corpus(path):
             rows.append(corpus_row(i, sample_text(i), host=BLOCK_EXACT_HOST))
         else:
             rows.append(corpus_row(i, " ".join(sample_text(i + k) for k in range(i % 4 + 1))))
-    return jsonl(path, rows)
+    return rows
+
+
+def fan_out_corpus(path):
+    return jsonl(path, fan_out_rows())
+
+
+def boundary_corpus(path):
+    """fan_out_rows plus lines whose handling must not depend on chunking.
+
+    With CHUNK_RECORDS = 3 each special line is the first or last line of
+    a chunk: a malformed line, a blank line, records without an id (the
+    synthesized id takes the line number), .pt and URL-less records, and
+    whitespace variants of line 2's text three and eleven chunks later
+    (line 45 repeats line 4's text as well).
+    """
+    rows = fan_out_rows()
+    lines = [json.dumps(row, ensure_ascii=False) for row in rows]
+    again = "  " + rows[2]["text"].replace(" ", "\t", 3)
+    specials = {
+        3: "not json",
+        5: "",
+        6: json.dumps({"url": "https://a.example.pt/x", "text": sample_text(90)}),
+        8: json.dumps({"text": sample_text(91)}),
+        9: json.dumps(corpus_row(92, again, host="b.example.pt")),
+        12: json.dumps({"url": "https://c.example.pt/y", "text": sample_text(93)}),
+        35: json.dumps(corpus_row(94, again)),
+    }
+    for at, line in sorted(specials.items()):
+        lines.insert(at, line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def boundary_blocks(path):
+    """Plain-text blocks with blank runs of every shape between them."""
+    gaps = ["\n", "\n\n\n", "  \n\t\n", "\r\n"]
+    parts = ["\n\n"]
+    for i in range(14):
+        parts.append(f"bloco {i} linha um\n" + "continua aqui\r\n" * (i % 3))
+        parts.append(gaps[i % len(gaps)])
+    path.write_text("".join(parts) + "\n \n", encoding="utf-8")
+    return str(path)
 
 
 class TestProcessFanOut:
-    """curate and pack split their input into chunks run by forked workers."""
+    """Every corpus command splits its input into chunks run by forked workers."""
 
     def curate(self, tmp_path, capsys, name):
         src = fan_out_corpus(tmp_path / "in.jsonl")
@@ -308,6 +387,35 @@ class TestProcessFanOut:
         files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
         return code, files, capsys.readouterr().err.replace(str(out_dir), "<out>")
 
+    def every_command(self, tmp_path, capsys, name):
+        """Exit code, stdout and stderr of each corpus command, and every file written."""
+        src = boundary_corpus(tmp_path / "raw.jsonl")
+        blocks = boundary_blocks(tmp_path / "raw.txt")
+        block = tmp_path / "exact.txt"
+        block.write_text(BLOCK_EXACT_HOST + "\n", encoding="utf-8")
+        out = tmp_path / f"{name}.all"
+        out.mkdir()
+        argvs = [
+            ["ingest", "--input", src, "--output", f"{out}/norm.jsonl"],
+            ["ingest", "--input", blocks, "--format", "blocks", "--source", "DCEP",
+             "--output", f"{out}/blocks.jsonl"],
+            ["split-variant", "--input", src, "--output-ptpt", f"{out}/pt.jsonl",
+             "--output-ptbr", f"{out}/br.jsonl", "--output-discard", f"{out}/rest.jsonl"],
+            ["curate", "--input", src, "--output", f"{out}/kept.jsonl",
+             "--blocklist-exact", str(block), "--rejects", f"{out}/rejects.jsonl"],
+            ["dedup", "--input", src, "--output", f"{out}/unique.jsonl"],
+            ["stats", "--input", src, "--names", "raw"],
+            ["pack", "--input", src, "--vocab", VOCAB, "--schedule", "8:10,32:10,256:10",
+             "--output-dir", f"{out}/packed", "--global-batch", "64", "--devices", "2"],
+        ]
+        runs = []
+        for argv in argvs:
+            code = dispatch(argv)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err.replace(str(out), "<out>")))
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*.*"))}
+        return runs, files
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_outputs_identical_to_one_chunk(self, tmp_path, capsys, monkeypatch, forks, workers):
         from lusokit import cli, fanout
@@ -315,15 +423,29 @@ class TestProcessFanOut:
         monkeypatch.setattr(fanout, "cpu_count", lambda: 1)
         curated = self.curate(tmp_path, capsys, "one")
         packed = self.pack(tmp_path, capsys, "one")
+        runs, files = self.every_command(tmp_path, capsys, "one")
         assert forks == []
         assert curated[0] == 0 and curated[3] == "kept=28 blocklisted=3 rejected=9\n"
         assert packed[0] == 0 and len(packed[1]) == 4
+        raw = (tmp_path / "raw.jsonl").stat().st_size
+        assert [err for _code, _out, err in runs[:5]] == [
+            f"ingested 45 records (2 malformed units skipped, {raw} bytes read)\n",
+            f"ingested 14 records (0 malformed units skipped, {(tmp_path / 'raw.txt').stat().st_size} bytes read)\n",
+            "ptpt=3 ptbr=41 discarded=1\n",
+            "kept=33 blocklisted=3 rejected=9\n",
+            "kept=42 duplicates=3\n",
+        ]
+        assert all(code == 0 for code, _out, _err in runs)
+        assert runs[5][1].splitlines()[-1].split()[:2] == ["raw", "45"]
+        assert len(files) == 12
 
         monkeypatch.setattr(fanout, "cpu_count", lambda: workers)
-        monkeypatch.setattr(cli, "CHUNK_RECORDS", 3)  # 14 chunks
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", 3)  # 14-16 chunks per input
         assert self.curate(tmp_path, capsys, "many") == curated
         assert self.pack(tmp_path, capsys, "many") == packed
-        assert len(forks) == (2 * workers if workers > 1 else 0)
+        assert self.every_command(tmp_path, capsys, "many") == (runs, files)
+        # curate and pack above, then seven commands, each forking every worker
+        assert len(forks) == (9 * workers if workers > 1 else 0)
 
     def test_one_chunk_starts_no_worker(self, tmp_path, capsys, monkeypatch):
         from lusokit import fanout
@@ -335,6 +457,8 @@ class TestProcessFanOut:
         monkeypatch.setattr(os, "fork", no_fork)
         assert self.curate(tmp_path, capsys, "c")[0] == 0
         assert self.pack(tmp_path, capsys, "p")[0] == 0
+        runs, _files = self.every_command(tmp_path, capsys, "all")
+        assert [code for code, _out, _err in runs] == [0] * 7
 
     def test_worker_exception_is_the_command_error(self, tmp_path, capsys, monkeypatch, forks):
         from lusokit import cli, curation, fanout
@@ -382,18 +506,19 @@ class TestProcessFanOut:
         assert len(forks) == 2
 
     def test_dead_worker_fails_the_command(self, tmp_path):
+        # dedup: the one command whose worker results pass a filter in the parent
         src = fan_out_corpus(tmp_path / "in.jsonl")
-        argv = ["curate", "--input", src, "--output", str(tmp_path / "kept.jsonl")]
+        argv = ["dedup", "--input", src, "--output", str(tmp_path / "unique.jsonl")]
         code = (
             "import os, sys\n"
             "from lusokit import cli, curation, fanout\n"
             "parent = os.getpid()\n"
-            "real = curation.apply_filters\n"
-            "def dying(record, cfg):\n"
+            "real = curation.text_digest\n"
+            "def dying(text):\n"
             "    if os.getpid() != parent:\n"
             "        os._exit(3)\n"
-            "    return real(record, cfg)\n"
-            "curation.apply_filters = dying\n"
+            "    return real(text)\n"
+            "curation.text_digest = dying\n"
             "fanout.cpu_count = lambda: 2\n"
             "cli.CHUNK_RECORDS = 3\n"
             f"sys.exit(cli.dispatch({argv!r}))\n"

@@ -1,5 +1,6 @@
 """Record I/O: streaming reads, malformed tolerance, round trips."""
 
+import io
 import json
 import pickle
 
@@ -8,14 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lusokit.corpus_io import (
+    FORMAT_LINE_DELIMITED,
     FORMAT_PLAIN_TEXT_BLOCKS,
     CorpusRecord,
     Source,
     parse_source,
+    parse_units,
     read_records,
+    read_units,
     record_to_json,
     write_records,
 )
+
+BOM = b"\xef\xbb\xbf"
 
 
 def write_lines(path, lines):
@@ -88,6 +94,15 @@ class TestLineDelimited:
         list(records)
         assert report.bytes_read == path.stat().st_size
 
+    def test_leading_byte_order_mark_is_dropped_once(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        line = json.dumps({"id": "a", "text": "ola"}).encode() + b"\n"
+        path.write_bytes(BOM + line + BOM + line)
+        records, report = read_records(path)
+        assert [r.id for r in records] == ["a"]
+        assert report.records_malformed == 1  # a mark past the file's start stays
+        assert report.bytes_read == path.stat().st_size
+
     def test_unreadable_path_raises_eagerly(self, tmp_path):
         with pytest.raises(OSError):
             read_records(tmp_path / "nope.jsonl")
@@ -107,6 +122,81 @@ class TestBlocks:
         assert out[0].url is None
         assert out[0].id != out[1].id
         assert report.records_read == 2
+
+
+    def test_leading_byte_order_mark_is_dropped_once(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(BOM + b"\nprimeiro\n\n" + BOM + b"segundo\n")
+        records, report = read_records(path, format=FORMAT_PLAIN_TEXT_BLOCKS)
+        assert [(r.id, r.text) for r in records] == [
+            ("c.txt#0", "primeiro"),
+            ("c.txt#1", "\ufeffsegundo"),
+        ]
+        assert report.bytes_read == path.stat().st_size
+
+
+def reference_blocks(data: bytes) -> list[str]:
+    """Block texts as the line-by-line reader found them, after a leading BOM is dropped."""
+    blocks, pending = [], []
+    for raw in io.BytesIO(data.removeprefix(BOM)):
+        line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
+        if line.strip():
+            pending.append(line)
+        elif pending:
+            blocks.append("\n".join(pending))
+            pending = []
+    if pending:
+        blocks.append("\n".join(pending))
+    return blocks
+
+
+UNIT_PIECES = [
+    json.dumps({"id": "a", "text": "um dois"}).encode() + b"\n",
+    json.dumps({"text": "sem id"}).encode() + b"\n",
+    b"not json\n",
+    b"\n",
+    b"  \t\n",
+    b"\r\n",
+    b"linha de texto\r\n",
+    "\x1c\u00a0\n".encode(),  # whitespace to str.strip, not to bytes.strip
+    BOM + json.dumps({"text": "marca"}).encode() + b"\n",
+    b"\xff\xfe invalido\n",
+    b"sem fim",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(UNIT_PIECES), max_size=14),
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([FORMAT_LINE_DELIMITED, FORMAT_PLAIN_TEXT_BLOCKS]),
+)
+def test_chunks_parse_like_the_whole_file(tmp_path_factory, pieces, bom, size, format):
+    data = (BOM if bom else b"") + b"".join(pieces)
+    path = tmp_path_factory.mktemp("units") / "c.txt"
+    path.write_bytes(data)
+    records, report = read_records(path, format=format)
+    whole = list(records)
+    with path.open("rb") as handle:
+        units = list(read_units(handle, format))
+    assert b"".join(units) == data
+    got, counts = [], [0, 0, 0]
+    for start in range(0, len(units), size):
+        part, part_report = parse_units(units[start:start + size], start, format, name="c.txt")
+        got += part
+        counts = [
+            counts[0] + part_report.records_read,
+            counts[1] + part_report.records_malformed,
+            counts[2] + part_report.bytes_read,
+        ]
+    assert got == whole
+    assert counts == [report.records_read, report.records_malformed, len(data)]
+    if format == FORMAT_PLAIN_TEXT_BLOCKS:
+        assert [r.text for r in whole] == reference_blocks(data)
+        assert [r.id for r in whole] == [f"c.txt#{i}" for i in range(len(whole))]
+    else:
+        assert report.records_read + report.records_malformed == len(units)
 
 
 class TestRoundTrip:
