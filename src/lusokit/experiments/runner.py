@@ -16,6 +16,7 @@ import re
 import shlex
 import string
 import subprocess
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -111,45 +112,44 @@ def _metric_range(task_name: str) -> tuple[float, float]:
     return (0.0, 1.0)
 
 
-def run_one(
-    cfg: RunConfig,
-    template: str,
-    timeout: Optional[float] = None,
-) -> dict:
-    """Execute one run and build its result record."""
-    run_key = make_run_key(cfg)
-    record = cfg.to_dict()
-    cmd = build_command(template, cfg)
+def _invoke(cmd: list[str], task: str, timeout: Optional[float]) -> tuple:
+    """(dev, test, None) from a successful trainer call, else (None, None, error)."""
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=timeout
         )
     except FileNotFoundError:
-        record.update(status=STATUS_FAILED, dev=None, test=None,
-                      error=f"trainer executable not found: {cmd[0]}")
-        return record
+        return None, None, f"trainer executable not found: {cmd[0]}"
     except subprocess.TimeoutExpired:
-        record.update(status=STATUS_FAILED, dev=None, test=None,
-                      error=f"trainer timed out after {timeout}s")
-        return record
+        return None, None, f"trainer timed out after {timeout}s"
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-1:] or ["(no stderr)"]
-        record.update(status=STATUS_FAILED, dev=None, test=None,
-                      error=f"exit {proc.returncode}: {tail[0][:200]}")
-        return record
+        return None, None, f"exit {proc.returncode}: {tail[0][:200]}"
     scores = parse_scores(proc.stdout)
     if scores is None:
-        record.update(status=STATUS_FAILED, dev=None, test=None,
-                      error="no 'dev=<float> test=<float>' line in trainer output")
-        return record
+        return None, None, "no 'dev=<float> test=<float>' line in trainer output"
     dev, test = scores
-    lo, hi = _metric_range(cfg.task)
+    lo, hi = _metric_range(task)
     if not (lo <= dev <= hi and lo <= test <= hi):
-        record.update(status=STATUS_FAILED, dev=None, test=None,
-                      error=f"scores ({dev}, {test}) outside [{lo}, {hi}] for {cfg.task}")
-        return record
-    record.update(status=STATUS_OK, dev=dev, test=test, error=None)
-    assert record["run_key"] == run_key
+        return None, None, f"scores ({dev}, {test}) outside [{lo}, {hi}] for {task}"
+    return dev, test, None
+
+
+def run_one(
+    cfg: RunConfig,
+    template: str,
+    timeout: Optional[float] = None,
+) -> dict:
+    """Execute one run and build its result record, with the trainer
+    call's wall seconds as duration_s."""
+    record = cfg.to_dict()
+    cmd = build_command(template, cfg)
+    started = time.monotonic()
+    dev, test, error = _invoke(cmd, cfg.task, timeout)
+    record.update(
+        status=STATUS_FAILED if error else STATUS_OK, dev=dev, test=test, error=error,
+        duration_s=round(time.monotonic() - started, 3),
+    )
     return record
 
 
@@ -183,32 +183,25 @@ def run_matrix(
     Runs whose latest stored record is a success are skipped, so a
     rerun of the same matrix only touches unfinished work. Each run is
     claimed before execution and released afterwards; claims held by
-    someone else skip the run for this pass. progress, if given, gets
-    each attempted run's record as soon as that run finishes.
+    someone else skip the run for this pass, and a run another process
+    finished since this pass began counts as already done. progress, if
+    given, gets each attempted run's record as soon as that run finishes.
     """
     if max_workers < 1:
         raise ConfigurationError(f"max_workers must be positive, got {max_workers}")
     validate_template(template)
     done = store.completed_keys()
+    to_run = [cfg for cfg in configs if make_run_key(cfg) not in done]
+    skipped_completed = len(configs) - len(to_run)
+    succeeded = failed = skipped_claimed = 0
 
-    to_run: list[RunConfig] = []
-    skipped_completed = 0
-    for cfg in configs:
-        if make_run_key(cfg) in done:
-            skipped_completed += 1
-        else:
-            to_run.append(cfg)
-
-    succeeded = 0
-    failed = 0
-    skipped_claimed = 0
-    attempted = 0
-
-    def execute(cfg: RunConfig) -> Optional[dict]:
+    def execute(cfg: RunConfig) -> dict | str:
         key = make_run_key(cfg)
         if not store.claim(key):
-            return None
+            return "claimed"
         try:
+            if key in store.completed_keys():
+                return "done"
             record = run_one(cfg, template, timeout=timeout)
             store.append(record)
             return record
@@ -216,19 +209,20 @@ def run_matrix(
             store.release(key)
 
     for record in fan_out(execute, to_run, max_workers):
-        if record is None:
+        if record == "claimed":
             skipped_claimed += 1
-            continue
-        attempted += 1
-        if record["status"] == STATUS_OK:
-            succeeded += 1
+        elif record == "done":
+            skipped_completed += 1
         else:
-            failed += 1
-        if progress is not None:
-            progress(record)
+            if record["status"] == STATUS_OK:
+                succeeded += 1
+            else:
+                failed += 1
+            if progress is not None:
+                progress(record)
 
     return ExecutionSummary(
-        attempted=attempted,
+        attempted=succeeded + failed,
         succeeded=succeeded,
         failed=failed,
         skipped_completed=skipped_completed,

@@ -4,13 +4,19 @@ Results live in one JSONL file (`lusokit.jsonlog`). Each completed or
 failed run appends a record; re-runs append again and the latest line
 for a run key wins at load time. Appends fsync so a crash loses at
 most the line being written, and a torn final line is skipped on load
-rather than poisoning the store. Claim files (created with O_EXCL) keep
-concurrent workers from picking up the same run.
+rather than poisoning the store.
+
+A claim is an exclusive `flock` on the empty file `claims/<run_key>.lock`,
+held until release. The kernel drops it when its holder dies, so no
+claim needs clearing. The files are never unlinked: two holders could
+then lock different files for one key.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
+import threading
 from pathlib import Path
 
 from lusokit import jsonlog
@@ -31,6 +37,11 @@ class ResultsStore:
         self.results_path = self.directory / "results.jsonl"
         self.claims_dir = self.directory / "claims"
         self.claims_dir.mkdir(exist_ok=True)
+        self._claims: dict[str, int] = {}
+        # completed_keys is called from every fan_out worker thread.
+        self._read_lock = threading.Lock()
+        self._read_offset = 0
+        self._completed: set[str] = set()
 
     def append(self, record: dict) -> None:
         """Durably append one result record."""
@@ -43,42 +54,30 @@ class ResultsStore:
         return jsonlog.load(self.results_path, _run_key)
 
     def completed_keys(self) -> set[str]:
-        """Run keys whose latest record is a success."""
-        return {
-            key
-            for key, rec in self.load().items()
-            if rec.get("status") == STATUS_OK
-        }
+        """Run keys whose latest record is a success.
 
-    def compact(self) -> int:
-        """Rewrite the file keeping only the winning record per key.
-
-        Returns the number of records kept.
+        Each call reads only the lines appended since the previous one,
+        by this process or any other.
         """
-        return jsonlog.compact(self.results_path, self.load().values())
-
-    def _claim_path(self, run_key: str) -> Path:
-        return self.claims_dir / f"{run_key}.claim"
+        with self._read_lock:
+            latest, self._read_offset = jsonlog.load_from(
+                self.results_path, self._read_offset, _run_key
+            )
+            self._completed.difference_update(latest)
+            self._completed.update(k for k, r in latest.items() if r.get("status") == STATUS_OK)
+            return set(self._completed)
 
     def claim(self, run_key: str) -> bool:
-        """Atomically claim a run; False if someone else holds it."""
+        """Lock a run until release; False if anyone else holds it,
+        another thread of this process included."""
+        fd = os.open(self.claims_dir / f"{run_key}.lock", os.O_WRONLY | os.O_CREAT, 0o644)
         try:
-            fd = os.open(
-                self._claim_path(run_key), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(str(os.getpid()))
+        self._claims[run_key] = fd
         return True
 
     def release(self, run_key: str) -> None:
-        self._claim_path(run_key).unlink(missing_ok=True)
-
-    def clear_claims(self) -> int:
-        """Drop all claim files (start of a fresh pass after a crash)."""
-        count = 0
-        for path in self.claims_dir.glob("*.claim"):
-            path.unlink(missing_ok=True)
-            count += 1
-        return count
+        os.close(self._claims.pop(run_key))

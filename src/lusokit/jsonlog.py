@@ -12,7 +12,7 @@ import fcntl
 import json
 import os
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Optional
 
 
 def append(path: str | Path, record: dict) -> None:
@@ -37,35 +37,34 @@ def append(path: str | Path, record: dict) -> None:
 
 
 def load(path: str | Path, key: Callable[[dict], Optional[Hashable]]) -> dict:
-    """Latest record per key; blank, torn and non-object lines and
-    records whose key is None are skipped."""
-    path = Path(path)
+    """Latest record per key in the whole log."""
+    return load_from(path, 0, key)[0]
+
+
+def load_from(
+    path: str | Path, offset: int, key: Callable[[dict], Optional[Hashable]]
+) -> tuple[dict, int]:
+    """Latest record per key among the complete lines from byte `offset`
+    on, and the offset just past the last of those lines.
+
+    A last line without its newline is still being written, or was torn
+    by a crash; it is left for a later call. Blank, torn and non-object
+    lines and records whose key is None are skipped.
+    """
     records: dict = {}
-    if not path.exists():
-        return records
-    with path.open("r", encoding="utf-8", errors="replace") as handle:
+    if not os.path.exists(path):
+        return records, offset
+    with open(path, "rb") as handle:
+        handle.seek(offset)
         for line in handle:
+            if not line.endswith(b"\n"):
+                break
+            offset += len(line)
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8", "replace"))
             except json.JSONDecodeError:
                 continue
             k = key(obj) if isinstance(obj, dict) else None
             if k is not None:
                 records[k] = obj
-    return records
-
-
-def compact(path: str | Path, records: Iterable[dict]) -> int:
-    """Replace the log with these records; returns how many were written.
-
-    The rewrite goes through a temp file and an atomic rename.
-    """
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in records]
-    with tmp.open("w", encoding="utf-8") as out:
-        out.writelines(lines)
-        out.flush()
-        os.fsync(out.fileno())
-    os.replace(tmp, path)
-    return len(lines)
+    return records, offset

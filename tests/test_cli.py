@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,10 @@ import pytest
 
 import lusokit
 from lusokit import __version__
+from lusokit.benchmarks import TASKS
 from lusokit.cli import dispatch
+from lusokit.experiments.grid import build_matrix, load_roster, make_run_key
+from lusokit.experiments.store import ResultsStore
 
 from helpers import BLOCK_EXACT_HOST, clean_text, rule_violating_text
 
@@ -447,6 +451,28 @@ class TestProcessFanOut:
         # curate and pack above, then seven commands, each forking every worker
         assert len(forks) == (9 * workers if workers > 1 else 0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lone_surrogate_is_a_malformed_unit(self, tmp_path, capsys, monkeypatch, workers):
+        from lusokit import cli, fanout
+
+        monkeypatch.setattr(fanout, "cpu_count", lambda: workers)
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", 1)
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"id": "a", "text": "bad \\ud800 surrogate"}\n'
+                       '{"id": "b", "text": "pair \\ud83d\\ude00 kept"}\n', encoding="utf-8")
+        out = tmp_path / "norm.jsonl"
+        assert dispatch(["ingest", "--input", str(src), "--output", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            f"ingested 1 records (1 malformed units skipped, {src.stat().st_size} bytes read)\n")
+        assert out.read_text(encoding="utf-8") == '{"id": "b", "source": "Other", "text": "pair \U0001f600 kept"}\n'
+
+        src.write_text('{"id": "a", "text": "um"}\n{"id": "\\udc00", "text": "dois"}\n'
+                       '{"text": "\\uDFFF sem id"}\n{"id": "c", "text": "um"}\n', encoding="utf-8")
+        out = tmp_path / "unique.jsonl"
+        assert dispatch(["dedup", "--input", str(src), "--output", str(out)]) == 0
+        assert capsys.readouterr().err == "kept=1 duplicates=1\n"
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["a"]
+
     def test_one_chunk_starts_no_worker(self, tmp_path, capsys, monkeypatch):
         from lusokit import fanout
 
@@ -683,6 +709,36 @@ class TestExperimentCommands:
         captured = capsys.readouterr()
         assert "cells=1 incomplete=0" in captured.err
         assert "m1" in captured.out
+
+    def test_run_prints_one_progress_line_per_run(self, tmp_path, capsys):
+        code = dispatch(
+            ["run", "--models", self._roster(tmp_path), "--template", TRAINER_TEMPLATE,
+             "--store", str(tmp_path / "store"), "--tasks", "rte", "--max-workers", "2"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == "attempted=36 succeeded=36 failed=0 already_done=0 claimed_elsewhere=0"
+        keys = set(ResultsStore(tmp_path / "store").load())
+        assert len(lines) == 37 and len(keys) == 36
+        assert {line.split()[1] for line in lines[:-1]} == keys
+        assert all(re.fullmatch(r"ok [0-9a-f]{16} m1 rte \d+\.\d{3}s", line) for line in lines[:-1])
+
+    def test_run_leaves_a_live_claim_alone(self, tmp_path, capsys):
+        roster = self._roster(tmp_path)
+        held = make_run_key(build_matrix(load_roster(roster), tasks=[TASKS["rte"]])[0])
+        holder = ResultsStore(tmp_path / "store")
+        assert holder.claim(held)
+        log = tmp_path / "log.jsonl"
+        code = dispatch(
+            ["run", "--models", roster, "--template", f"{TRAINER_TEMPLATE} --log {log}",
+             "--store", str(tmp_path / "store"), "--tasks", "rte", "--max-workers", "2"]
+        )
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "attempted=35 succeeded=35 failed=0 already_done=0 claimed_elsewhere=1"
+        invoked = [json.loads(line)["run_key"] for line in log.read_text().splitlines()]
+        assert len(invoked) == len(set(invoked)) == 35 and held not in invoked
+        holder.release(held)
 
     def test_run_failures_exit_one(self, tmp_path, capsys):
         roster = self._roster(tmp_path)

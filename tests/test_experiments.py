@@ -3,6 +3,8 @@
 import fcntl
 import json
 import os
+import signal
+import subprocess
 import sys
 import threading
 
@@ -222,24 +224,69 @@ class TestStore:
         lines = store.results_path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["run_key"] for line in lines] == ["k1", "k2", "k3"]
 
-    def test_compact_keeps_winners_only(self, tmp_path):
-        store = ResultsStore(tmp_path / "s")
-        for i in range(5):
-            store.append({"run_key": "k1", "status": "failed", "attempt": i})
-        store.append({"run_key": "k1", "status": "ok"})
-        assert store.compact() == 1
-        lines = store.results_path.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["status"] == "ok"
-
     def test_claims_are_exclusive(self, tmp_path):
         store = ResultsStore(tmp_path / "s")
         assert store.claim("k1") is True
         assert store.claim("k1") is False
         store.release("k1")
         assert store.claim("k1") is True
-        assert store.clear_claims() == 1
-        assert store.claim("k1") is True
+
+    def test_claim_of_another_live_store_is_not_taken(self, tmp_path):
+        holder = ResultsStore(tmp_path / "s")
+        other = ResultsStore(tmp_path / "s")
+        assert holder.claim("k1") is True
+        assert other.claim("k1") is False
+        holder.release("k1")
+        assert other.claim("k1") is True
+        assert [p.stat().st_size for p in (tmp_path / "s" / "claims").iterdir()] == [0]
+
+    def test_claim_dies_with_a_killed_holder(self, tmp_path):
+        # the holder is SIGKILLed, so nothing of it gets to clean up
+        code = (
+            "import time\n"
+            "from lusokit.experiments.store import ResultsStore\n"
+            f"assert ResultsStore({str(tmp_path / 's')!r}).claim('k1')\n"
+            "print('claimed', flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, env=env)
+        try:
+            assert child.stdout.readline() == b"claimed\n"
+            assert ResultsStore(tmp_path / "s").claim("k1") is False
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=10)
+            child.stdout.close()
+        assert ResultsStore(tmp_path / "s").claim("k1") is True
+
+    def test_completed_keys_reads_only_complete_new_lines(self, tmp_path):
+        store = ResultsStore(tmp_path / "s")
+        other = ResultsStore(tmp_path / "s")
+        store.append({"run_key": "k1", "status": "ok"})
+        assert store.completed_keys() == {"k1"}
+        with store.results_path.open("a", encoding="utf-8") as out:
+            out.write('{"run_key": "k2", "status": "o')
+        assert store.completed_keys() == {"k1"}
+        with store.results_path.open("a", encoding="utf-8") as out:
+            out.write('k"}')
+        assert store.completed_keys() == {"k1"}  # parses, but its newline is not there yet
+        with store.results_path.open("a", encoding="utf-8") as out:
+            out.write("\n")
+        assert store.completed_keys() == {"k1", "k2"}
+        other.append({"run_key": "k3", "status": "ok"})
+        other.append({"run_key": "k1", "status": "failed"})
+        assert store.completed_keys() == {"k2", "k3"}
+        assert store.completed_keys() == other.completed_keys() == {"k2", "k3"}
+
+    def test_completed_keys_skips_a_torn_line_once_appended_past(self, tmp_path):
+        store = ResultsStore(tmp_path / "s")
+        with store.results_path.open("a", encoding="utf-8") as out:
+            out.write('{"run_key": "k1", "sta')
+        assert store.completed_keys() == set()
+        store.append({"run_key": "k2", "status": "ok"})
+        assert store.completed_keys() == {"k2"}
+        assert set(store.load()) == {"k2"}
 
 
 class TestTemplate:
@@ -309,6 +356,13 @@ class TestRunOne:
         assert "exit 1" in record["error"]
 
 
+    def test_duration_recorded_on_success_and_failure(self, tmp_path):
+        record = run_one(cfg(), TRAINER_TEMPLATE + " --sleep 0.05")
+        assert record["status"] == "ok" and record["duration_s"] >= 0.05
+        record = run_one(cfg(), TRAINER_TEMPLATE.replace(sys.executable, "/no/such/binary"))
+        assert record["status"] == "failed" and 0 <= record["duration_s"] < 1
+
+
 class TestRunMatrix:
     def _mini_runs(self):
         grid = HyperGrid(learning_rates=(1e-5,), dropouts=(0.0,), bf16_options=(False,))
@@ -331,6 +385,26 @@ class TestRunMatrix:
         summary = run_matrix(runs, TRAINER_TEMPLATE, store)
         assert summary.skipped_claimed == 1
         assert summary.attempted == 2
+
+    def test_run_finished_elsewhere_after_the_snapshot_is_not_rerun(self, tmp_path):
+        runs = self._mini_runs()
+        store = ResultsStore(tmp_path / "s")
+        other = ResultsStore(tmp_path / "s")
+        first = make_run_key(runs[0])
+        claim = store.claim
+
+        def claim_after_other_finished(key):
+            if key == first:
+                other.append({"run_key": key, "status": "ok", "dev": 0.5, "test": 0.5})
+            return claim(key)
+
+        store.claim = claim_after_other_finished
+        seen = []
+        summary = run_matrix(runs, TRAINER_TEMPLATE, store, progress=seen.append)
+        assert (summary.attempted, summary.skipped_completed, summary.skipped_claimed) == (2, 1, 0)
+        assert first not in {r["run_key"] for r in seen}
+        assert store.load()[first]["dev"] == 0.5
+        assert other.claim(first)  # released after the check
 
     @pytest.mark.parametrize("max_workers", [1, 3])
     def test_progress_once_per_attempted_run(self, tmp_path, max_workers):
