@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from lusokit.errors import DataError
 from lusokit.variants import Variant
@@ -209,14 +209,12 @@ def validate_examples(
     return valid, violations
 
 
-def read_task_examples(path: str | Path) -> list[TaskExample]:
-    """Load a line-delimited task file.
+def read_jsonl_rows(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of a JSONL file.
 
-    Structural breakage (bad JSON, non-object rows, missing/ill-typed id)
-    raises DataError with the line number; schema checks against a task
-    are validate_examples' job.
+    A line that is not JSON raises DataError with its line number; what
+    a row must hold is the caller's check.
     """
-    examples: list[TaskExample] = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -226,21 +224,33 @@ def read_task_examples(path: str | Path) -> list[TaskExample]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{line_no}: row is not an object")
-            example_id = obj.get("id")
-            if not isinstance(example_id, str) or not example_id:
-                raise DataError(f"{path}:{line_no}: missing or invalid 'id'")
-            if "label" not in obj:
-                raise DataError(f"{path}:{line_no}: missing 'label'")
-            fields = {
-                k: v
-                for k, v in obj.items()
-                if k not in ("id", "label") and isinstance(v, str)
-            }
-            examples.append(
-                TaskExample(example_id=example_id, fields=fields, label=obj["label"])
-            )
+            yield line_no, obj
+
+
+def read_task_examples(path: str | Path) -> list[TaskExample]:
+    """Load a line-delimited task file.
+
+    Structural breakage (bad JSON, non-object rows, missing/ill-typed id)
+    raises DataError with the line number; schema checks against a task
+    are validate_examples' job.
+    """
+    examples: list[TaskExample] = []
+    for line_no, obj in read_jsonl_rows(path):
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{line_no}: row is not an object")
+        example_id = obj.get("id")
+        if not isinstance(example_id, str) or not example_id:
+            raise DataError(f"{path}:{line_no}: missing or invalid 'id'")
+        if "label" not in obj:
+            raise DataError(f"{path}:{line_no}: missing 'label'")
+        fields = {
+            k: v
+            for k, v in obj.items()
+            if k not in ("id", "label") and isinstance(v, str)
+        }
+        examples.append(
+            TaskExample(example_id=example_id, fields=fields, label=obj["label"])
+        )
     return examples
 
 

@@ -470,22 +470,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _read_predictions(path: str | Path) -> dict[str, object]:
+    from lusokit.benchmarks import read_jsonl_rows
+
     preds: dict[str, object] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or "id" not in obj or "prediction" not in obj:
-                raise DataError(f"{path}:{line_no}: need 'id' and 'prediction' keys")
-            example_id = obj["id"]
-            if example_id in preds:
-                raise DataError(f"{path}:{line_no}: duplicate prediction for {example_id!r}")
-            preds[example_id] = obj["prediction"]
+    for line_no, obj in read_jsonl_rows(path):
+        if not isinstance(obj, dict) or "id" not in obj or "prediction" not in obj:
+            raise DataError(f"{path}:{line_no}: need 'id' and 'prediction' keys")
+        example_id = obj["id"]
+        if example_id in preds:
+            raise DataError(f"{path}:{line_no}: duplicate prediction for {example_id!r}")
+        preds[example_id] = obj["prediction"]
     return preds
 
 

@@ -9,7 +9,7 @@ paths are resolved against the config file's own directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -20,20 +20,12 @@ from lusokit.errors import ConfigurationError
 
 _TOP_KEYS = {"curation", "blocklist"}
 
+# FilterConfig's fields, with its word lists named as the files they load.
 _SECTION_KEYS = {
-    "curation": {
-        "min_words",
-        "max_words",
-        "max_char_repetition_ratio",
-        "max_word_repetition_ratio",
-        "max_special_char_ratio",
-        "min_stopword_ratio",
-        "stopword_min_words",
-        "max_flagged_word_ratio",
-        "stopword_file",
-        "flagged_words_file",
-        "enabled_rules",
-    },
+    "curation": (
+        {f.name for f in fields(FilterConfig)} - {"stopword_list", "flagged_word_list"}
+    )
+    | {"stopword_file", "flagged_words_file"},
     "blocklist": {"exact_file", "suffix_file"},
 }
 

@@ -8,9 +8,9 @@ conjunction of all enabled rules, so it does not depend on evaluation
 order (only the rejected_by attribution does, which uses the fixed
 order of RULE_NAMES).
 
-Records from sources that already arrive quality-filtered upstream can
-be exempted from the quality rules at the pipeline level while the
-blocklist still applies; see ``curate_stream``.
+Records from sources that already arrive quality-filtered upstream
+(``QUALITY_EXEMPT_SOURCES``) skip the quality rules in ``curate_stream``
+while the blocklist still applies.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ _RULES = (
 )
 
 RULE_NAMES = tuple(name for name, _violated in _RULES)
+
+QUALITY_EXEMPT_SOURCES = frozenset({Source.CULTURAX})
 
 _RATIO_FIELDS = (
     "max_char_repetition_ratio",
@@ -260,13 +262,12 @@ def curate_stream(
     records: Iterable[CorpusRecord],
     cfg: FilterConfig,
     blocklist: Blocklist | None = None,
-    quality_exempt_sources: frozenset[Source] = frozenset({Source.CULTURAX}),
     on_reject=None,
 ) -> tuple[Iterator[CorpusRecord], CurationStats]:
     """Blocklist plus quality rules over a record stream.
 
-    Sources in quality_exempt_sources (by default corpora that arrive
-    pre-filtered) skip the quality rules but never the blocklist.
+    Sources in QUALITY_EXEMPT_SOURCES skip the quality rules but never
+    the blocklist.
     on_reject, when given, is called with (record, stage, decision) for
     every drop; stage is "blocklist" or "quality", decision is None for
     blocklist drops.
@@ -280,7 +281,7 @@ def curate_stream(
                 if on_reject:
                     on_reject(record, "blocklist", None)
                 continue
-            if record.source not in quality_exempt_sources:
+            if record.source not in QUALITY_EXEMPT_SOURCES:
                 decision = apply_filters(record, cfg)
                 if not decision.keep:
                     stats.rejected += 1

@@ -32,31 +32,17 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from lusokit.errors import ConfigurationError
-from lusokit.tokenizer import TokenizedSequence
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from lusokit.tokenizer import TokenizedSequence
 
 SHARD_MAGIC = b"LKPK"
 SHARD_VERSION = 2
 _TOKEN_DTYPE = "<i4"
 _HEADER = struct.Struct("<4sHBxIiI")  # magic, version, int width, (reserved), stage, pad id, rows
 _BIG_ENDIAN = sys.byteorder == "big"
-
-
-def truncate(seq: TokenizedSequence, max_len: int) -> TokenizedSequence:
-    """Cap a sequence at max_len tokens, keeping the head.
-
-    Over-long sequences keep their first max_len - 1 ids and get the
-    final separator re-appended, so the result still starts with cls and
-    ends with sep.
-    """
-    if max_len < 2:
-        raise ValueError(f"max_len must be at least 2 (cls + sep), got {max_len}")
-    ids = seq.token_ids
-    if len(ids) <= max_len:
-        return seq
-    return TokenizedSequence(token_ids=ids[: max_len - 1] + (ids[-1],), truncated=True)
 
 
 @dataclass(frozen=True)
@@ -88,41 +74,33 @@ def pack_flat(
 ) -> PackedBatch:
     """Pack back-to-back id sequences into one dynamically padded batch.
 
-    Row i is the lengths[i] ids that follow the first sum(lengths[:i]).
-    A row longer than the stage cap is truncated as ``truncate`` does:
-    its first cap - 1 ids, then its last id. Row order is input order.
+    Row i is the lengths[i] ids that follow the first sum(lengths[:i]),
+    capped at the stage by ``cap_rows``. Row order is input order.
     """
     import numpy as np
 
     if not len(lengths):
         raise ValueError("cannot pack an empty batch")
-    if stage_max_len < 2:
-        raise ValueError(f"max_len must be at least 2 (cls + sep), got {stage_max_len}")
-    lengths = np.asarray(lengths, dtype=np.int64)
-    kept = np.minimum(lengths, stage_max_len)
-    width = int(kept.max())
-    token_ids = np.full((len(lengths), width), pad_id, dtype=_TOKEN_DTYPE)
-    head = stage_max_len - 1
-    starts = np.cumsum(lengths) - lengths
-    for row, (start, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
-        if n <= stage_max_len:
-            token_ids[row, :n] = ids[start : start + n]
-        else:
-            token_ids[row, :head] = ids[start : start + head]
-            token_ids[row, head] = ids[start + n - 1]
-    mask = (np.arange(width) < kept[:, None]).view(np.uint8)
-    return PackedBatch(token_ids=token_ids, attention_mask=mask, stage_max_len=stage_max_len)
+    capped, kept = cap_rows(
+        np.ascontiguousarray(ids, dtype=np.intc), np.asarray(lengths).tolist(), stage_max_len
+    )
+    return _pad(np.frombuffer(capped, dtype=_TOKEN_DTYPE), np.array(kept), stage_max_len, pad_id)
+
+
+def _pad(ids: np.ndarray, kept: np.ndarray, stage_max_len: int, pad_id: int) -> PackedBatch:
+    """Pad capped rows, back to back in ids, to the longest of them."""
+    import numpy as np
+
+    mask = np.arange(int(kept.max())) < kept[:, None]
+    token_ids = np.full(mask.shape, pad_id, dtype=_TOKEN_DTYPE)
+    token_ids[mask] = ids
+    return PackedBatch(token_ids, mask.view(np.uint8), stage_max_len)
 
 
 def pack_batch(
     seqs: Sequence[TokenizedSequence], stage_max_len: int, pad_id: int
 ) -> PackedBatch:
-    """Pack sequences into one dynamically padded batch.
-
-    Sequences longer than the stage cap are truncated first (head kept,
-    sep re-appended). Row order preserves input order; no real token is
-    dropped or reordered beyond that truncation.
-    """
+    """Pack sequences into one dynamically padded batch, as ``pack_flat`` does."""
     import numpy as np
 
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
@@ -132,26 +110,35 @@ def pack_batch(
     return pack_flat(ids, lengths, stage_max_len, pad_id)
 
 
-def cap_rows(ids: array, lengths: Sequence[int], stage_max_len: int) -> tuple[bytes, list[int]]:
+def cap_rows(
+    ids: array | np.ndarray, lengths: Sequence[int], stage_max_len: int
+) -> tuple[bytes, list[int]]:
     """Back-to-back rows capped at a stage, in a shard's id layout.
 
-    ids is an ``array("i")``; row i is the lengths[i] ids after the
-    first sum(lengths[:i]). A row longer than the cap is truncated as
-    ``truncate`` does: its first cap - 1 ids, then its last id. Returns
-    the kept ids back to back as little-endian int32 bytes, and each
-    row's kept length.
+    ids is a contiguous buffer of native int32, such as an ``array("i")``
+    or a numpy int32 array; row i is the lengths[i] ids after the first
+    sum(lengths[:i]). A row longer than the cap keeps its first cap - 1
+    ids, then its last id, so it still starts with cls and ends with sep.
+    Returns the kept ids back to back as little-endian int32 bytes, and
+    each row's kept length.
     """
     if stage_max_len < 2:
         raise ValueError(f"max_len must be at least 2 (cls + sep), got {stage_max_len}")
+    view = memoryview(ids)
+    if view.itemsize != 4:
+        raise TypeError(f"ids must be int32, got {view.itemsize}-byte items")
+    view = view.cast("B")
     kept = array("i")
-    run = start = 0  # run: first id of the stretch of rows not yet copied
+    head = 4 * (stage_max_len - 1)
+    run = start = 0  # byte offsets; run: first byte of the rows not yet copied
     for n in lengths:
+        end = start + 4 * n
         if n > stage_max_len:
-            kept += ids[run : start + stage_max_len - 1]
-            kept.append(ids[start + n - 1])
-            run = start + n
-        start += n
-    kept += ids[run:start]
+            kept.frombytes(view[run : start + head])
+            kept.frombytes(view[end - 4 : end])
+            run = end
+        start = end
+    kept.frombytes(view[run:start])
     if _BIG_ENDIAN:
         kept.byteswap()
     return kept.tobytes(), [min(n, stage_max_len) for n in lengths]
@@ -349,4 +336,4 @@ def read_shard(path: str | Path) -> PackedBatch:
             raise ConfigurationError(f"shard {path} payload size mismatch")
         handle.seek(_HEADER.size)
         ids = np.frombuffer(handle.read(4 * tokens), dtype=_TOKEN_DTYPE)
-    return pack_flat(ids, lengths, stage, pad_id)
+    return _pad(ids, lengths, stage, pad_id)

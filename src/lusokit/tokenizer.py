@@ -10,21 +10,20 @@ right, always taking the longest piece that matches the remaining
 prefix (word-start pieces at position 0, continuation pieces after).
 A maximal run of characters no piece can match collapses into a single
 unk id. Any tokenizer producing id sequences can be substituted
-downstream, since packing accepts raw id lists.
+downstream, since packing takes flat int32 ids and row lengths.
 
-A pre-token's ids do not depend on its neighbours, so ``tokenize_all``
-and ``tokenize_flat`` memoize them per word across many texts; web text
-is Zipfian and most words repeat. On a miss the scan after a word's start
-tries no fragment longer than the longest ``##`` piece (Song et al.,
-"Fast WordPiece Tokenization", arXiv 2012.15524, for the general
-technique).
+A pre-token's ids do not depend on its neighbours, so ``tokenize_flat``
+memoizes them per word across many texts; web text is Zipfian and most
+words repeat. On a miss the scan after a word's start tries no fragment
+longer than the longest ``##`` piece (Song et al., "Fast WordPiece
+Tokenization", arXiv 2012.15524, for the general technique).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from lusokit.errors import ConfigurationError
 
@@ -106,20 +105,12 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 @dataclass(frozen=True, slots=True)
 class TokenizedSequence:
-    """Token ids bracketed by cls/sep; truncated marks a shortened sequence."""
+    """Token ids bracketed by cls/sep."""
 
     token_ids: tuple[int, ...]
-    truncated: bool = False
 
     def __len__(self) -> int:
         return len(self.token_ids)
-
-    @classmethod
-    def from_ids(cls, ids: list[int] | tuple[int, ...], truncated: bool = False) -> "TokenizedSequence":
-        """Ingestion path for externally tokenized id sequences."""
-        if not ids:
-            raise ValueError("token id sequence must be non-empty")
-        return cls(token_ids=tuple(ids), truncated=truncated)
 
 
 def _longest_match(word: str, pos: int, at_start: bool, vocab: Vocabulary) -> tuple[int, int] | None:
@@ -184,22 +175,10 @@ def tokenize_flat(
     return ids, lengths
 
 
-def tokenize_all(texts: Iterable[str], vocab: Vocabulary) -> Iterator[TokenizedSequence]:
-    """Greedy longest-match tokenization of many texts, lazily, in order.
-
-    Each word's ids are memoized for the pass (at most WORD_CACHE_MAX
-    words); the memo is dropped when the iterator is exhausted or
-    discarded. Results equal ``tokenize`` on each text.
-    """
-    memo: dict[str, tuple[int, ...]] = {}
-    for text in texts:
-        ids, _ = tokenize_flat((text,), vocab, memo)
-        yield TokenizedSequence(token_ids=tuple(ids), truncated=False)
-
-
 def tokenize(text: str, vocab: Vocabulary) -> TokenizedSequence:
     """Greedy longest-match tokenization; deterministic in (text, vocab)."""
-    return next(tokenize_all((text,), vocab))
+    ids, _ = tokenize_flat((text,), vocab, {})
+    return TokenizedSequence(tuple(ids))
 
 
 def pieces_of(seq: TokenizedSequence, vocab: Vocabulary) -> list[str]:

@@ -5,9 +5,11 @@ to PTPT, and everything else (including missing or unparseable URLs) is
 discarded. "Top-level domain" means the final hostname label, so
 "example.com.br" counts as "br"; no public-suffix list is consulted.
 
-Corpora that carry no URLs at all (parliamentary transcripts) are not
-classified here; the pipeline assigns them a variant directly, see the
-``--no-url-variant`` option of the split CLI.
+Corpora that carry no URLs at all (parliamentary transcripts) are of
+one known variant already and skip this step: ``split-variant`` sends
+every record without a usable URL, so every ``ingest --format blocks``
+record, to the discard output. Such a corpus goes straight to
+``curate``.
 """
 
 from __future__ import annotations

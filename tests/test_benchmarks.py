@@ -134,6 +134,22 @@ class TestTaskFiles:
         with pytest.raises(DataError):
             read_task_examples(path)
 
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ('\nnada de json\n', "2: invalid JSON (Expecting value)"),
+            ("[1, 2]\n", "1: row is not an object"),
+            ('{"label": 1}\n', "1: missing or invalid 'id'"),
+            ('{"id": "a", "label": 0}\n\n{"id": "b"}\n', "3: missing 'label'"),
+        ],
+    )
+    def test_error_messages(self, tmp_path, body, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            read_task_examples(path)
+        assert str(exc.value) == f"{path}:{message}"
+
 
 class TestSplitSizes:
     @pytest.mark.parametrize(

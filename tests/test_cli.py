@@ -613,6 +613,23 @@ class TestTaskCommands:
         preds = jsonl(tmp_path / "pred.jsonl", [{"id": "e0", "prediction": 1}])
         assert dispatch(["score", "--gold", gold, "--pred", preds, "--task", "rte"]) == 1
 
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ('\n{"id": "e0", "prediction": 1\n', "2: invalid JSON (Expecting ',' delimiter)"),
+            ('"e0"\n', "1: need 'id' and 'prediction' keys"),
+            ('{"id": "e0", "prediction": 1}\n{"id": "e1"}\n', "2: need 'id' and 'prediction' keys"),
+            ('{"id": "e0", "prediction": 1}\n{"id": "e0", "prediction": 0}\n',
+             "2: duplicate prediction for 'e0'"),
+        ],
+    )
+    def test_score_prediction_file_errors(self, tmp_path, capsys, body, message):
+        gold = jsonl(tmp_path / "gold.jsonl", self._rte_rows(2))
+        preds = tmp_path / "pred.jsonl"
+        preds.write_text(body, encoding="utf-8")
+        assert dispatch(["score", "--gold", gold, "--pred", str(preds), "--task", "rte"]) == 1
+        assert capsys.readouterr().err == f"error: {preds}:{message}\n"
+
 
 class TestTranslateCommand:
     def test_fake_translation_round_trip(self, tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Pipeline config loading and factory methods."""
 
+from dataclasses import fields
+
 import pytest
+import yaml
 
 from lusokit.config import PipelineConfig, load_domain_list, load_word_list
+from lusokit.curation import FilterConfig
 from lusokit.errors import ConfigurationError
 
 
@@ -96,6 +100,18 @@ class TestFactories:
         assert fcfg.enabled_rules == frozenset({"min_words", "max_words", "flagged_word"})
         # stopwords fall back to the bundled list
         assert "de" in fcfg.stopword_list
+
+    def test_every_threshold_field_is_settable(self, tmp_path):
+        # each numeric FilterConfig field gets a non-default value from YAML
+        thresholds = {
+            f.name: f.default + 1 if isinstance(f.default, int) else f.default / 2
+            for f in fields(FilterConfig)
+            if isinstance(f.default, (int, float))
+        }
+        assert {"min_words", "min_stopword_ratio", "max_flagged_word_ratio"} <= set(thresholds)
+        path = write_config(tmp_path, yaml.safe_dump({"curation": thresholds}))
+        fcfg = PipelineConfig.load(path).make_filter_config()
+        assert {name: getattr(fcfg, name) for name in thresholds} == thresholds
 
     def test_bad_threshold_surfaces_as_config_error(self, tmp_path):
         path = write_config(tmp_path, "curation:\n  max_special_char_ratio: 1.5\n")

@@ -2,6 +2,7 @@
 
 import struct
 from array import array
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
@@ -21,41 +22,47 @@ from lusokit.packing import (
     plan_device_split,
     read_shard,
     stage_for_step,
-    truncate,
     write_shard,
 )
 from lusokit.tokenizer import TokenizedSequence
 
 
-def seq(*ids, truncated=False):
-    return TokenizedSequence(token_ids=tuple(ids), truncated=truncated)
+def seq(*ids):
+    return TokenizedSequence(token_ids=tuple(ids))
 
 
 CLS, SEP, PAD = 0, 1, 2
 
 
+def kept_rows(rows, cap):
+    """Each row as cap_rows keeps it, checked against pack_batch's rows."""
+    data, kept = cap_rows(array("i", chain(*rows)), [len(row) for row in rows], cap)
+    flat = np.frombuffer(data, dtype="<i4").tolist()
+    out = [tuple(flat[end - n : end]) for end, n in zip(accumulate(kept), kept)]
+    batch = pack_batch([seq(*row) for row in rows], cap, PAD)
+    assert [tuple(row[:n]) for row, n in zip(batch.token_ids.tolist(), kept)] == out
+    return out
+
+
 class TestTruncate:
+    """The stage cap rule, through cap_rows and pack_batch."""
+
     def test_noop_when_short_enough(self):
-        s = seq(CLS, 5, 6, SEP)
-        out = truncate(s, 8)
-        assert out is s
-        assert not out.truncated
+        assert kept_rows([(CLS, 5, 6, SEP)], 8) == [(CLS, 5, 6, SEP)]
 
     def test_keeps_head_and_reappends_sep(self):
-        s = seq(CLS, 5, 6, 7, 8, SEP)
-        out = truncate(s, 4)
-        assert out.token_ids == (CLS, 5, 6, SEP)
-        assert out.truncated
+        rows = [(CLS, 5, 6, 7, 8, SEP), (CLS, 9, SEP)]
+        assert kept_rows(rows, 4) == [(CLS, 5, 6, SEP), (CLS, 9, SEP)]
 
     def test_exact_length_untouched(self):
-        s = seq(CLS, 5, SEP)
-        assert truncate(s, 3) is s
+        assert kept_rows([(CLS, 5, SEP)], 3) == [(CLS, 5, SEP)]
 
     def test_min_len_two(self):
         with pytest.raises(ValueError):
-            truncate(seq(CLS, SEP), 1)
-        out = truncate(seq(CLS, 5, SEP), 2)
-        assert out.token_ids == (CLS, SEP)
+            cap_rows(array("i", [CLS, SEP]), [2], 1)
+        with pytest.raises(ValueError):
+            pack_batch([seq(CLS, SEP)], 1, PAD)
+        assert kept_rows([(CLS, 5, SEP)], 2) == [(CLS, SEP)]
 
 
 class TestPackBatch:
@@ -108,15 +115,15 @@ class TestPackBatch:
             assert all(batch.token_ids[row][n:] == PAD)
 
 
-def reference_pack(seqs, cap, pad):
-    """The per-row loop pack_batch replaced: truncate, then fill each row."""
-    capped = [truncate(s, cap) for s in seqs]
-    width = min(cap, max(len(s) for s in capped))
+def reference_pack(rows, cap, pad):
+    """A per-row loop: truncate each row inline, then fill it."""
+    capped = [row[: cap - 1] + row[-1:] if len(row) > cap else row for row in rows]
+    width = max(len(row) for row in capped)
     token_ids = np.full((len(capped), width), pad, dtype="<i4")
     mask = np.zeros((len(capped), width), dtype=np.uint8)
-    for row, s in enumerate(capped):
-        token_ids[row, : len(s)] = s.token_ids
-        mask[row, : len(s)] = 1
+    for i, row in enumerate(capped):
+        token_ids[i, : len(row)] = row
+        mask[i, : len(row)] = 1
     return token_ids, mask
 
 
@@ -133,7 +140,7 @@ class TestFlatAssembly:
     )
     def test_equals_reference_loop(self, rows, cap, pad):
         seqs = [seq(*row) for row in rows]
-        want_ids, want_mask = reference_pack(seqs, cap, pad)
+        want_ids, want_mask = reference_pack(rows, cap, pad)
         flat = np.array([i for row in rows for i in row], dtype="<i4")
         lengths = np.array([len(row) for row in rows])
         for batch in (pack_batch(seqs, cap, pad), pack_flat(flat, lengths, cap, pad)):
@@ -148,6 +155,25 @@ class TestFlatAssembly:
             pack_flat(np.array([CLS, SEP], dtype="<i4"), np.array([2]), 1, PAD)
         with pytest.raises(ValueError):
             pack_flat(np.array([], dtype="<i4"), np.array([], dtype=np.int64), 8, PAD)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=-(2**31), max_value=2**31 - 1), min_size=0, max_size=40),
+            min_size=0,
+            max_size=12,
+        ),
+        st.integers(min_value=2, max_value=24),
+    )
+    def test_cap_rows_same_bytes_for_array_and_numpy_ids(self, rows, cap):
+        flat = [i for row in rows for i in row]
+        lengths = [len(row) for row in rows]
+        got = cap_rows(np.array(flat, dtype="<i4"), lengths, cap)
+        assert got == cap_rows(array("i", flat), lengths, cap)
+
+    def test_cap_rows_rejects_ids_that_are_not_int32(self):
+        with pytest.raises(TypeError):
+            cap_rows(np.array([CLS, SEP], dtype=np.int64), [2], 8)
 
 
 class TestDeviceSplit:

@@ -1,5 +1,7 @@
 """Greedy subword tokenization."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,10 @@ from helpers import reference_tokenize
 from lusokit import tokenizer
 from lusokit.errors import ConfigurationError
 from lusokit.tokenizer import (
-    TokenizedSequence,
     Vocabulary,
     load_vocabulary,
     pieces_of,
     tokenize,
-    tokenize_all,
     tokenize_flat,
 )
 
@@ -80,7 +80,6 @@ class TestTokenize:
         v = vocab_from("de")
         seq = tokenize("", v)
         assert seq.token_ids == (v.cls_id, v.sep_id)
-        assert not seq.truncated
 
     def test_deterministic(self):
         v = vocab_from(*"abcdefgh", *(f"##{c}" for c in "abcdefgh"), "abra", "##cada")
@@ -141,7 +140,9 @@ class TestTokenizeAll:
         with pytest.MonkeyPatch.context() as mp:
             if cache_max is not None:
                 mp.setattr(tokenizer, "WORD_CACHE_MAX", cache_max)
-            got = [seq.token_ids for seq in tokenize_all(texts, v)]
+            ids, lengths = tokenize_flat(texts, v, {})
+        assert sum(lengths) == len(ids)
+        got = [tuple(ids[end - n : end]) for end, n in zip(accumulate(lengths), lengths)]
         assert got == [reference_tokenize(text, v) for text in texts]
         assert [tokenize(text, v).token_ids for text in texts] == got
 
@@ -165,23 +166,3 @@ class TestTokenizeAll:
                     del ids[:n]
         assert got == [reference_tokenize(text, v) for text in texts]
         assert len(memo) <= (cache_max or tokenizer.WORD_CACHE_MAX)
-
-    def test_lazy_and_in_order(self):
-        v = vocab_from("de", "##s")
-        stream = tokenize_all(iter(["des", "xyz", ""]), v)
-        assert next(stream).token_ids == (v.cls_id, v.ids["de"], v.ids["##s"], v.sep_id)
-        assert [seq.token_ids for seq in stream] == [
-            (v.cls_id, v.unk_id, v.sep_id),
-            (v.cls_id, v.sep_id),
-        ]
-
-
-class TestFromIds:
-    def test_accepts_external_ids(self):
-        v = vocab_from("de")
-        seq = TokenizedSequence.from_ids([v.cls_id, v.ids["de"], v.sep_id])
-        assert len(seq) == 3
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            TokenizedSequence.from_ids([])
