@@ -223,7 +223,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_pack(args: argparse.Namespace) -> int:
     from array import array
 
-    from lusokit.packing import ShardWriter, TruncationSchedule, cap_rows, plan_device_split
+    from lusokit.packing import (
+        ID_TYPECODES,
+        ShardWriter,
+        TruncationSchedule,
+        cap_rows,
+        id_width,
+        plan_device_split,
+    )
     from lusokit.tokenizer import load_vocabulary, tokenize_flat
 
     if (args.global_batch is None) != (args.devices is None):
@@ -237,12 +244,14 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     schedule = TruncationSchedule.parse(args.schedule)
     caps = [cap for cap, _steps in schedule.stages]
     vocab = load_vocabulary(args.vocab)
+    typecode = ID_TYPECODES[id_width(len(vocab))]
     memo: dict = {}  # word -> ids; each worker fills its own copy
 
     def tokenize_chunk(records):
-        """Per stage cap: capped ids as <i4 bytes, kept lengths, truncated rows."""
+        """Per stage cap: capped ids as shard bytes (<u2 for a vocabulary of
+        at most 65,536 pieces, <i4 otherwise), kept lengths, truncated rows."""
         ids, lengths = tokenize_flat([record.text for record in records], vocab, memo)
-        ids = array("i", ids)
+        ids = array(typecode, ids)
         return [], [(*cap_rows(ids, lengths, cap), sum(n > cap for n in lengths)) for cap in caps]
 
     chunk_stages, _ = _map_corpus(args.input, tokenize_chunk)
@@ -257,7 +266,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     try:
         with ExitStack() as stack:
             writers = [
-                stack.enter_context(ShardWriter(path, cap, vocab.pad_id))
+                stack.enter_context(ShardWriter(path, cap, vocab.pad_id, len(vocab)))
                 for path, cap in zip(partials, caps)
             ]
             for stages in chunk_stages:
@@ -477,6 +486,8 @@ def _read_predictions(path: str | Path) -> dict[str, object]:
         if not isinstance(obj, dict) or "id" not in obj or "prediction" not in obj:
             raise DataError(f"{path}:{line_no}: need 'id' and 'prediction' keys")
         example_id = obj["id"]
+        if not isinstance(example_id, str):
+            raise DataError(f"{path}:{line_no}: prediction id must be a string, got {example_id!r}")
         if example_id in preds:
             raise DataError(f"{path}:{line_no}: duplicate prediction for {example_id!r}")
         preds[example_id] = obj["prediction"]

@@ -181,7 +181,7 @@ def measure_rules(text: str, cfg: FilterConfig) -> dict[str, float]:
     specials = sum(text.count(c) for c in set(text) if not c.isalnum() and not c.isspace())
     special = specials / len(text) if text else 0.0
     if n_words:
-        lowered = list(map(str.lower, tokens))
+        lowered = text.lower().split()
         stopword = sum(map(cfg.stopword_list.__contains__, lowered)) / n_words
         flagged = sum(map(cfg.flagged_word_list.__contains__, lowered)) / n_words
     else:

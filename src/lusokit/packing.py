@@ -7,11 +7,14 @@ is its longest member, never the stage bound, which is only a cap.
 
 Shards are written one per stage and store their rows ragged: a
 self-describing 20-byte header (magic, version, integer width, stage
-cap, pad id, row count), then every row's kept ids back to back as
-little-endian int32 with no padding, then a footer of one little-endian
-uint32 kept length per row. ``ShardWriter`` streams a shard to disk and
-holds only the lengths; ``read_shard`` validates one and pads it on read
-into a dense ``PackedBatch``. Version 1 shards (dense matrices) are not
+cap, pad id, row count), then every row's kept ids back to back with no
+padding, then a footer of one little-endian uint32 kept length per row.
+Ids are as wide as the vocabulary needs (``id_width``): little-endian
+uint16 for a vocabulary of at most 65,536 pieces, little-endian int32
+otherwise; the header's integer width says which, and the footer is
+uint32 either way. ``ShardWriter`` streams a shard to disk and holds
+only the lengths; ``read_shard`` validates one and pads it on read into
+a dense int32 ``PackedBatch``. Version 1 shards (dense matrices) are not
 readable: re-run ``lusokit pack``.
 
 numpy is imported only by the functions that build or take a
@@ -41,6 +44,8 @@ if TYPE_CHECKING:
 SHARD_MAGIC = b"LKPK"
 SHARD_VERSION = 2
 _TOKEN_DTYPE = "<i4"
+_ID_DTYPES = {2: "<u2", 4: _TOKEN_DTYPE}  # a shard's ids, by the header's int width
+ID_TYPECODES = {2: "H", 4: "i"}  # array typecodes of native ids, by item width
 _HEADER = struct.Struct("<4sHBxIiI")  # magic, version, int width, (reserved), stage, pad id, rows
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -110,32 +115,45 @@ def pack_batch(
     return pack_flat(ids, lengths, stage_max_len, pad_id)
 
 
+def id_width(vocab_size: int) -> int:
+    """Bytes a shard stores per id of a vocabulary of vocab_size pieces.
+
+    2 when ids 0..vocab_size - 1 fit in uint16, 4 (int32) otherwise.
+    """
+    if not 1 <= vocab_size <= 1 << 31:
+        raise ValueError(f"vocabulary size must lie in [1, 2**31], got {vocab_size}")
+    return 2 if vocab_size <= 1 << 16 else 4
+
+
 def cap_rows(
     ids: array | np.ndarray, lengths: Sequence[int], stage_max_len: int
 ) -> tuple[bytes, list[int]]:
     """Back-to-back rows capped at a stage, in a shard's id layout.
 
-    ids is a contiguous buffer of native int32, such as an ``array("i")``
-    or a numpy int32 array; row i is the lengths[i] ids after the first
-    sum(lengths[:i]). A row longer than the cap keeps its first cap - 1
-    ids, then its last id, so it still starts with cls and ends with sep.
-    Returns the kept ids back to back as little-endian int32 bytes, and
-    each row's kept length.
+    ids is a contiguous buffer of native 2- or 4-byte ids, such as an
+    ``array("H")``, an ``array("i")`` or a numpy uint16 or int32 array;
+    row i is the lengths[i] ids after the first sum(lengths[:i]). A row
+    longer than the cap keeps its first cap - 1 ids, then its last id,
+    so it still starts with cls and ends with sep. Returns the kept ids
+    back to back as little-endian bytes of the input's width (``<u2``
+    for 2-byte items, ``<i4`` for 4-byte ones), and each row's kept
+    length.
     """
     if stage_max_len < 2:
         raise ValueError(f"max_len must be at least 2 (cls + sep), got {stage_max_len}")
     view = memoryview(ids)
-    if view.itemsize != 4:
-        raise TypeError(f"ids must be int32, got {view.itemsize}-byte items")
+    size = view.itemsize
+    if size not in ID_TYPECODES:
+        raise TypeError(f"ids must be 2- or 4-byte items, got {size}-byte items")
     view = view.cast("B")
-    kept = array("i")
-    head = 4 * (stage_max_len - 1)
+    kept = array(ID_TYPECODES[size])
+    head = size * (stage_max_len - 1)
     run = start = 0  # byte offsets; run: first byte of the rows not yet copied
     for n in lengths:
-        end = start + 4 * n
+        end = start + size * n
         if n > stage_max_len:
             kept.frombytes(view[run : start + head])
-            kept.frombytes(view[end - 4 : end])
+            kept.frombytes(view[end - size : end])
             run = end
         start = end
     kept.frombytes(view[run:start])
@@ -147,16 +165,19 @@ def cap_rows(
 class ShardWriter:
     """Streams one stage shard to path: append rows, then close.
 
-    Ids go to disk as they are appended; only the kept lengths stay in
-    memory (4 bytes a row) until close writes them as the footer and
-    rewrites the header with the row count. Used as a context manager,
-    it closes on a clean exit and removes its partial file when the
-    block raises.
+    Ids are ``width = id_width(vocab_size)`` bytes each and go to disk
+    as they are appended; only the kept lengths stay in memory (4 bytes
+    a row) until close writes them as the footer and rewrites the header
+    with the row count. Used as a context manager, it closes on a clean
+    exit and removes its partial file when the block raises.
     """
 
-    def __init__(self, path: str | Path, stage_max_len: int, pad_id: int) -> None:
+    def __init__(
+        self, path: str | Path, stage_max_len: int, pad_id: int, vocab_size: int
+    ) -> None:
         if stage_max_len < 2:
             raise ValueError(f"max_len must be at least 2 (cls + sep), got {stage_max_len}")
+        self.width = id_width(vocab_size)
         self.path = Path(path)
         self.stage_max_len = stage_max_len
         self.pad_id = pad_id
@@ -166,7 +187,12 @@ class ShardWriter:
 
     def _header(self) -> bytes:
         return _HEADER.pack(
-            SHARD_MAGIC, SHARD_VERSION, 4, self.stage_max_len, self.pad_id, len(self.lengths)
+            SHARD_MAGIC,
+            SHARD_VERSION,
+            self.width,
+            self.stage_max_len,
+            self.pad_id,
+            len(self.lengths),
         )
 
     @property
@@ -174,10 +200,11 @@ class ShardWriter:
         return len(self.lengths)
 
     def append(self, ids: bytes, lengths: Sequence[int]) -> None:
-        """Add rows: their ids back to back as <i4 bytes, and their lengths."""
+        """Add rows: their ids back to back as little-endian bytes of the
+        shard's width (``<u2`` or ``<i4``), and their lengths."""
         if lengths and not (min(lengths) >= 1 and max(lengths) <= self.stage_max_len):
             raise ValueError(f"row lengths must lie in [1, {self.stage_max_len}]")
-        if len(ids) != 4 * sum(lengths):
+        if len(ids) != self.width * sum(lengths):
             raise ValueError(f"{len(ids)} id bytes for rows of {sum(lengths)} ids")
         self._file.write(ids)
         self.lengths.extend(lengths)
@@ -289,8 +316,9 @@ def write_shard(path: str | Path, batch: PackedBatch) -> None:
     """Write a batch's rows as a stage shard; read_shard gives the batch back.
 
     The shard's pad id is the id the batch's padding cells hold, or 0
-    when it has none. Padding cells that hold different ids raise
-    ValueError.
+    when it has none. Ids are stored as wide as a vocabulary of the
+    largest id plus one, pad id included, needs. Padding cells that hold
+    different ids, or a negative id, raise ValueError.
     """
     import numpy as np
 
@@ -299,13 +327,16 @@ def write_shard(path: str | Path, batch: PackedBatch) -> None:
     if len(pads) > 1:
         raise ValueError(f"padding cells hold {len(pads)} different ids; a shard has one pad id")
     pad_id = int(pads[0]) if len(pads) else 0
-    ids = batch.token_ids[real].astype(_TOKEN_DTYPE)
-    with ShardWriter(path, batch.stage_max_len, pad_id) as writer:
-        writer.append(ids.tobytes(), batch.lengths().tolist())
+    ids = batch.token_ids[real]
+    if ids.min(initial=0) < 0:
+        raise ValueError("a shard stores vocabulary ids, which are never negative")
+    vocab_size = int(ids.max(initial=max(pad_id, 0))) + 1
+    with ShardWriter(path, batch.stage_max_len, pad_id, vocab_size) as writer:
+        writer.append(ids.astype(_ID_DTYPES[writer.width]).tobytes(), batch.lengths().tolist())
 
 
 def read_shard(path: str | Path) -> PackedBatch:
-    """Validate a stage shard and pad its rows into a dense batch."""
+    """Validate a stage shard and pad its rows into a dense int32 batch."""
     import numpy as np
 
     with Path(path).open("rb") as handle:
@@ -320,7 +351,8 @@ def read_shard(path: str | Path) -> PackedBatch:
                 f"shard {path} is version {version}; only version {SHARD_VERSION} "
                 "is readable (re-run lusokit pack)"
             )
-        if int_width != 4:
+        dtype = _ID_DTYPES.get(int_width)
+        if dtype is None:
             raise ConfigurationError(f"shard {path} has unsupported int width {int_width}")
         if rows < 1 or stage < 2:
             raise ConfigurationError(f"shard {path} has {rows} rows under stage cap {stage}")
@@ -332,8 +364,8 @@ def read_shard(path: str | Path) -> PackedBatch:
         if lengths.min() < 1 or lengths.max() > stage:
             raise ConfigurationError(f"shard {path} has a row length outside [1, {stage}]")
         tokens = int(lengths.sum(dtype=np.int64))
-        if size != _HEADER.size + 4 * tokens + 4 * rows:
+        if size != _HEADER.size + int_width * tokens + 4 * rows:
             raise ConfigurationError(f"shard {path} payload size mismatch")
         handle.seek(_HEADER.size)
-        ids = np.frombuffer(handle.read(4 * tokens), dtype=_TOKEN_DTYPE)
+        ids = np.frombuffer(handle.read(int_width * tokens), dtype=dtype)
     return _pad(ids, lengths, stage, pad_id)

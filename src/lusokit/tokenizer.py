@@ -10,7 +10,7 @@ right, always taking the longest piece that matches the remaining
 prefix (word-start pieces at position 0, continuation pieces after).
 A maximal run of characters no piece can match collapses into a single
 unk id. Any tokenizer producing id sequences can be substituted
-downstream, since packing takes flat int32 ids and row lengths.
+downstream, since packing takes flat ids and row lengths.
 
 A pre-token's ids do not depend on its neighbours, so ``tokenize_flat``
 memoizes them per word across many texts; web text is Zipfian and most

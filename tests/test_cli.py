@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lusokit
@@ -16,6 +17,8 @@ from lusokit.benchmarks import TASKS
 from lusokit.cli import dispatch
 from lusokit.experiments.grid import build_matrix, load_roster, make_run_key
 from lusokit.experiments.store import ResultsStore
+from lusokit.packing import pack_flat, read_shard
+from lusokit.tokenizer import load_vocabulary, tokenize_flat
 
 from helpers import BLOCK_EXACT_HOST, clean_text, rule_violating_text
 
@@ -239,6 +242,39 @@ class TestPipelineCommands:
         assert [s["max_len"] for s in manifest["stages"]] == [16, 32]
         for stage in manifest["stages"]:
             assert (out_dir / stage["shard"]).exists()
+
+    @pytest.mark.parametrize("pieces, width", [(None, 2), (65_537, 4)])
+    def test_pack_stores_ids_at_the_vocabulary_width(self, tmp_path, capsys, pieces, width):
+        # Filler pieces go before the demo's content pieces, and a piece
+        # the texts use goes last: at 65,537 pieces its id is 65,536.
+        texts = [sample_text(i) for i in range(20)]
+        demo = load_vocabulary(VOCAB)
+        last = demo.piece(max(tokenize_flat(texts, demo, {})[0]))
+        content = [p for p in demo.pieces[4:] if p != last] + [last]
+        filler = [f"\u2400{i}" for i in range((pieces or len(demo)) - len(demo))]
+        vocab_path = tmp_path / "vocab.txt"
+        lines = [*demo.pieces[:4], *filler, *content]
+        vocab_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        vocab = load_vocabulary(vocab_path)
+        assert len(vocab) == (pieces or len(demo))
+        ids, lengths = tokenize_flat(texts, vocab, {})
+        assert (max(ids) >= 1 << 16) == (width == 4)
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, t) for i, t in enumerate(texts)])
+        out_dir = tmp_path / "packed"
+        assert dispatch(
+            ["pack", "--input", src, "--vocab", str(vocab_path),
+             "--schedule", "8:100,32:50,512:10", "--output-dir", str(out_dir)]
+        ) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        for stage in manifest["stages"]:
+            path = out_dir / stage["shard"]
+            assert path.read_bytes()[6] == width
+            assert path.stat().st_size == 20 + width * stage["tokens"] + 4 * stage["rows"]
+            cap = stage["max_len"]
+            want = pack_flat(np.array(ids, dtype="<i4"), np.array(lengths), cap, vocab.pad_id)
+            got = read_shard(path)
+            assert np.array_equal(got.token_ids, want.token_ids)
+            assert np.array_equal(got.attention_mask, want.attention_mask)
 
     def test_pack_batch_without_devices_is_usage_error(self, tmp_path):
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "a b c")])
@@ -621,6 +657,9 @@ class TestTaskCommands:
             ('{"id": "e0", "prediction": 1}\n{"id": "e1"}\n', "2: need 'id' and 'prediction' keys"),
             ('{"id": "e0", "prediction": 1}\n{"id": "e0", "prediction": 0}\n',
              "2: duplicate prediction for 'e0'"),
+            ('{"id": ["e0"], "prediction": 1}\n', "1: prediction id must be a string, got ['e0']"),
+            ('{"id": "e0", "prediction": 1}\n{"id": 1, "prediction": 0}\n',
+             "2: prediction id must be a string, got 1"),
         ],
     )
     def test_score_prediction_file_errors(self, tmp_path, capsys, body, message):

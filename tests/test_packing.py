@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from lusokit.errors import ConfigurationError
 from lusokit.packing import (
+    ID_TYPECODES,
     SHARD_MAGIC,
     SHARD_VERSION,
     PackedBatch,
     ShardWriter,
     TruncationSchedule,
     cap_rows,
+    id_width,
     pack_batch,
     pack_flat,
     plan_device_split,
@@ -32,6 +34,8 @@ def seq(*ids):
 
 
 CLS, SEP, PAD = 0, 1, 2
+NARROW = 1 << 16  # the largest vocabulary whose ids a shard stores as uint16
+WIDE = NARROW + 1
 
 
 def kept_rows(rows, cap):
@@ -174,6 +178,35 @@ class TestFlatAssembly:
     def test_cap_rows_rejects_ids_that_are_not_int32(self):
         with pytest.raises(TypeError):
             cap_rows(np.array([CLS, SEP], dtype=np.int64), [2], 8)
+        with pytest.raises(TypeError):
+            cap_rows(np.array([CLS, SEP], dtype=np.uint8), [2], 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=NARROW - 1), min_size=0, max_size=40),
+            min_size=0,
+            max_size=12,
+        ),
+        st.integers(min_value=2, max_value=24),
+    )
+    def test_cap_rows_over_uint16_is_the_int32_result_narrowed(self, rows, cap):
+        flat = [i for row in rows for i in row]
+        lengths = [len(row) for row in rows]
+        wide, wide_kept = cap_rows(array("i", flat), lengths, cap)
+        narrow, kept = cap_rows(array("H", flat), lengths, cap)
+        assert narrow == np.frombuffer(wide, dtype="<i4").astype("<u2").tobytes()
+        assert kept == wide_kept
+        assert cap_rows(np.array(flat, dtype=np.uint16), lengths, cap) == (narrow, kept)
+
+    def test_id_width_follows_the_vocabulary_size(self):
+        assert id_width(1) == 2
+        assert id_width(NARROW) == 2
+        assert id_width(WIDE) == 4
+        assert id_width(1 << 31) == 4
+        for bad in (0, (1 << 31) + 1):
+            with pytest.raises(ValueError):
+                id_width(bad)
 
 
 class TestDeviceSplit:
@@ -261,8 +294,8 @@ class TestShards:
         write_shard(path, batch)
         lengths = np.arange(width, 0, -1, dtype="<u4")
         pad = PAD if width > 1 else 0  # one row of length 1 has no padding cell
-        header = struct.pack("<4sHBxIiI", SHARD_MAGIC, SHARD_VERSION, 4, max(width, 2), pad, width)
-        ragged = np.concatenate([np.arange(10, 10 + n) for n in lengths]).astype("<i4")
+        header = struct.pack("<4sHBxIiI", SHARD_MAGIC, SHARD_VERSION, 2, max(width, 2), pad, width)
+        ragged = np.concatenate([np.arange(10, 10 + n) for n in lengths]).astype("<u2")
         assert len(header) == 20
         assert path.read_bytes() == header + ragged.tobytes() + lengths.tobytes()
         back = read_shard(path)
@@ -287,7 +320,7 @@ class TestShards:
         lengths = [len(row) for row in rows]
         ids, kept = cap_rows(array("i", flat), lengths, cap)
         path = tmp_path_factory.mktemp("shard") / "s.bin"
-        with ShardWriter(path, cap, pad) as writer:
+        with ShardWriter(path, cap, pad, 1 << 31) as writer:
             writer.append(ids, kept)
         want = pack_flat(np.array(flat, dtype="<i4"), np.array(lengths), cap, pad)
         got = read_shard(path)
@@ -298,11 +331,62 @@ class TestShards:
         assert got.stage_max_len == cap
         assert kept == [min(n, cap) for n in lengths]
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=NARROW - 1), min_size=1, max_size=40),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(min_value=2, max_value=24),
+        st.integers(min_value=0, max_value=9),
+    )
+    def test_narrow_capped_rows_read_back_as_pack_flat(self, tmp_path_factory, rows, cap, pad):
+        flat = [i for row in rows for i in row]
+        lengths = [len(row) for row in rows]
+        ids, kept = cap_rows(array("H", flat), lengths, cap)
+        path = tmp_path_factory.mktemp("shard") / "s.bin"
+        with ShardWriter(path, cap, pad, NARROW) as writer:
+            writer.append(ids, kept)
+        assert path.stat().st_size == 20 + 2 * sum(kept) + 4 * len(kept)
+        want = pack_flat(np.array(flat, dtype="<i4"), np.array(lengths), cap, pad)
+        got = read_shard(path)
+        assert got.token_ids.dtype == np.dtype("<i4")
+        assert np.array_equal(got.token_ids, want.token_ids)
+        assert np.array_equal(got.attention_mask, want.attention_mask)
+
+    def test_largest_uint16_id_round_trips_at_width_2(self, tmp_path):
+        path = tmp_path / "x.bin"
+        with ShardWriter(path, 4, PAD, NARROW) as writer:
+            assert writer.width == 2
+            writer.append(array("H", [CLS, NARROW - 1, SEP]).tobytes(), [3])
+        data = path.read_bytes()
+        assert data[6] == 2 and len(data) == 20 + 2 * 3 + 4
+        back = read_shard(path)
+        assert back.token_ids.dtype == np.dtype("<i4")
+        assert back.token_ids.tolist() == [[CLS, NARROW - 1, SEP]]
+
+    @pytest.mark.parametrize(
+        "top, pad, width", [(NARROW - 1, PAD, 2), (NARROW, PAD, 4), (5, NARROW, 4)]
+    )
+    def test_write_shard_width_follows_the_largest_id_and_pad_id(self, tmp_path, top, pad, width):
+        batch = pack_batch([seq(CLS, top, SEP), seq(CLS, SEP)], 8, pad)
+        path = tmp_path / "x.bin"
+        write_shard(path, batch)
+        assert path.read_bytes()[6] == width
+        assert np.array_equal(read_shard(path).token_ids, batch.token_ids)
+
+    def test_write_shard_rejects_negative_ids(self, tmp_path):
+        batch = pack_batch([seq(CLS, -5, SEP)], 8, PAD)
+        with pytest.raises(ValueError):
+            write_shard(tmp_path / "x.bin", batch)
+        assert not (tmp_path / "x.bin").exists()
+
     def test_write_of_read_is_byte_identical(self, tmp_path):
         path = tmp_path / "stage_8.bin"
         flat = [CLS, 5, 6, SEP, CLS, *range(10, 30), SEP, CLS, SEP]
-        with ShardWriter(path, 8, PAD) as writer:
-            writer.append(*cap_rows(array("i", flat), [4, 22, 2], 8))
+        with ShardWriter(path, 8, PAD, 30) as writer:
+            writer.append(*cap_rows(array("H", flat), [4, 22, 2], 8))
         again = tmp_path / "again.bin"
         write_shard(again, read_shard(path))
         assert again.read_bytes() == path.read_bytes()
@@ -323,7 +407,7 @@ class TestShards:
         assert np.array_equal(read_shard(path).token_ids, batch.token_ids)
 
     def test_writer_rejects_rows_it_could_not_read_back(self, tmp_path):
-        with ShardWriter(tmp_path / "x.bin", 8, PAD) as writer:
+        with ShardWriter(tmp_path / "x.bin", 8, PAD, WIDE) as writer:
             for ids, lengths in [(b"", [0]), (b"\0" * 36, [9]), (b"\0" * 8, [3])]:
                 with pytest.raises(ValueError):
                     writer.append(ids, lengths)
@@ -333,7 +417,7 @@ class TestShards:
     def test_failed_write_removes_the_partial_file(self, tmp_path):
         path = tmp_path / "x.bin"
         with pytest.raises(RuntimeError):
-            with ShardWriter(path, 8, PAD) as writer:
+            with ShardWriter(path, 8, PAD, WIDE) as writer:
                 writer.append(b"\0" * 8, [2])
                 raise RuntimeError("stop")
         assert not path.exists()
@@ -359,11 +443,11 @@ class TestShards:
         with pytest.raises(ConfigurationError):
             read_shard(path)
 
-    def shard(self, tmp_path):
-        """Bytes of a valid cap-8 shard with rows of 3, 1 and 8 ids."""
+    def shard(self, tmp_path, vocab_size=WIDE):
+        """Bytes of a valid cap-8 shard with rows of 3, 1 and 8 ids, 4-byte ids by default."""
         path = tmp_path / "valid.bin"
-        with ShardWriter(path, 8, PAD) as writer:
-            writer.append(array("i", range(12)).tobytes(), [3, 1, 8])
+        with ShardWriter(path, 8, PAD, vocab_size) as writer:
+            writer.append(array(ID_TYPECODES[writer.width], range(12)).tobytes(), [3, 1, 8])
         return path.read_bytes()
 
     def rejected(self, tmp_path, data):
@@ -403,3 +487,20 @@ class TestShards:
         data = self.shard(tmp_path)
         for cut in (1, 4, 8, len(data) - 20):
             self.rejected(tmp_path, data[:-cut])
+
+    @pytest.mark.parametrize("width", [3, 8])
+    def test_unsupported_int_width_rejected_by_name(self, tmp_path, width):
+        data = bytearray(self.shard(tmp_path))
+        data[6] = width
+        assert f"unsupported int width {width}" in self.rejected(tmp_path, bytes(data))
+
+    def test_narrow_shard_one_id_short_rejected(self, tmp_path):
+        data = self.shard(tmp_path, NARROW)
+        assert data[6] == 2 and len(data) == 20 + 2 * 12 + 4 * 3
+        assert read_shard(tmp_path / "valid.bin").rows == 3
+        assert "size mismatch" in self.rejected(tmp_path, data[:20] + data[22:])
+
+    def test_wide_header_over_narrow_payload_rejected(self, tmp_path):
+        data = bytearray(self.shard(tmp_path, NARROW))
+        data[6] = 4
+        self.rejected(tmp_path, bytes(data))
