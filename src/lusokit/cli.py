@@ -230,6 +230,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         cap_rows,
         id_width,
         plan_device_split,
+        write_view,
     )
     from lusokit.tokenizer import load_vocabulary, tokenize_flat
 
@@ -243,62 +244,61 @@ def _cmd_pack(args: argparse.Namespace) -> int:
             raise ConfigurationError(str(exc)) from None
     schedule = TruncationSchedule.parse(args.schedule)
     caps = [cap for cap, _steps in schedule.stages]
+    top = caps[-1]
     vocab = load_vocabulary(args.vocab)
     typecode = ID_TYPECODES[id_width(len(vocab))]
     memo: dict = {}  # word -> ids; each worker fills its own copy
 
     def tokenize_chunk(records):
-        """Per stage cap: capped ids as shard bytes (<u2 for a vocabulary of
-        at most 65,536 pieces, <i4 otherwise), kept lengths, truncated rows."""
+        """Ids capped at the top cap as shard bytes (<u2 for a vocabulary of at
+        most 65,536 pieces, <i4 otherwise), kept lengths, rows over the cap."""
         ids, lengths = tokenize_flat([record.text for record in records], vocab, memo)
-        ids = array(typecode, ids)
-        return [], [(*cap_rows(ids, lengths, cap), sum(n > cap for n in lengths)) for cap in caps]
+        return [], (*cap_rows(array(typecode, ids), lengths, top), sum(n > top for n in lengths))
 
-    chunk_stages, _ = _map_corpus(args.input, tokenize_chunk)
+    chunks, _ = _map_corpus(args.input, tokenize_chunk)
 
-    # Each stage streams to a partial file; all are renamed into place
-    # only once every stage has closed, and the manifest comes last.
+    # The top stage's shard streams to a partial file and is renamed into
+    # place once complete; each smaller stage is then a cap view of it,
+    # and the manifest comes last.
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shards = [f"stage_{cap}.bin" for cap in caps]
-    partials = [out_dir / f"{name}.partial" for name in shards]
-    truncated = [0] * len(caps)
+    base = out_dir / f"stage_{top}.bin"
+    partial = out_dir / f"{base.name}.partial"
+    truncated_at_top = 0
     try:
-        with ExitStack() as stack:
-            writers = [
-                stack.enter_context(ShardWriter(path, cap, vocab.pad_id, len(vocab)))
-                for path, cap in zip(partials, caps)
-            ]
-            for stages in chunk_stages:
-                for i, (ids, kept, cut) in enumerate(stages):
-                    writers[i].append(ids, kept)
-                    truncated[i] += cut
-            if not writers[0].rows:
+        with ShardWriter(partial, top, vocab.pad_id, len(vocab)) as writer:
+            for ids, kept, cut in chunks:
+                writer.append(ids, kept)
+                truncated_at_top += cut
+            if not writer.rows:
                 raise DataError(f"{args.input} has no records to pack")
     except BaseException:
-        for path in partials:
-            path.unlink(missing_ok=True)
+        partial.unlink(missing_ok=True)
         raise
     manifest_path = out_dir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    for path, name in zip(partials, shards):
-        os.replace(path, out_dir / name)
-    rows = writers[0].rows
+    os.replace(partial, base)
+    for cap in caps[:-1]:
+        write_view(out_dir / f"stage_{cap}.bin", base, cap)
+    # Capping a row at top, then at a smaller cap, caps it at that cap.
+    lengths = writer.lengths
     manifest: dict = {
-        "records": rows,
+        "records": writer.rows,
         "schedule": [
             {"max_len": cap, "steps": steps} for cap, steps in schedule.stages
         ],
         "stages": [
             {
                 "max_len": cap,
-                "shard": name,
+                "shard": f"stage_{cap}.bin",
                 "rows": writer.rows,
-                "width": max(writer.lengths),
-                "tokens": sum(writer.lengths),
-                "truncated_rows": cut,
+                "width": min(max(lengths), cap),
+                "tokens": sum(min(n, cap) for n in lengths),
+                "truncated_rows": (
+                    truncated_at_top if cap == top else sum(n > cap for n in lengths)
+                ),
             }
-            for cap, name, writer, cut in zip(caps, shards, writers, truncated)
+            for cap in caps
         ],
     }
     if per_device_batch is not None:
@@ -307,7 +307,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
     print(
-        f"packed {rows} records into {len(schedule.stages)} stage shards "
+        f"packed {writer.rows} records into {len(schedule.stages)} stage shards "
         f"under {out_dir}",
         file=sys.stderr,
     )

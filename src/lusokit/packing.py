@@ -5,22 +5,32 @@ budget (e.g. 128 tokens for 250k steps, then 256 for 80k, then 512 for
 60k). Within a stage, batches are padded dynamically: the batch width
 is its longest member, never the stage bound, which is only a cap.
 
-Shards are written one per stage and store their rows ragged: a
-self-describing 20-byte header (magic, version, integer width, stage
-cap, pad id, row count), then every row's kept ids back to back with no
-padding, then a footer of one little-endian uint32 kept length per row.
-Ids are as wide as the vocabulary needs (``id_width``): little-endian
-uint16 for a vocabulary of at most 65,536 pieces, little-endian int32
-otherwise; the header's integer width says which, and the footer is
-uint32 either way. ``ShardWriter`` streams a shard to disk and holds
-only the lengths; ``read_shard`` validates one and pads it on read into
-a dense int32 ``PackedBatch``. Version 1 shards (dense matrices) are not
-readable: re-run ``lusokit pack``.
+Shards store their rows ragged: a self-describing 20-byte header
+(magic ``LKPK``, version, integer width, stage cap, pad id, row count),
+then every row's kept ids back to back with no padding, then a footer
+of one little-endian uint32 kept length per row. Ids are as wide as the
+vocabulary needs (``id_width``): little-endian uint16 for a vocabulary
+of at most 65,536 pieces, little-endian int32 otherwise; the header's
+integer width says which, and the footer is uint32 either way.
+``ShardWriter`` streams a shard to disk and holds only the lengths.
+Version 1 shards (dense matrices) are not readable: re-run ``lusokit
+pack``.
+
+The cap rule nests: rows capped at a cap c of rows already capped at a
+larger cap are the rows capped at c. So a stage below the schedule's
+largest cap is stored as a cap view (``write_view``) of the full shard
+at that largest cap: the same header with magic ``LKPV``, carrying the
+base's integer width, pad id and row count and the view's own cap,
+followed by the base shard's bare file name in UTF-8. A view names its
+base relative to its own directory, so a packed directory moves as a
+whole. ``read_shard`` reads a full shard's ragged rows, or a view's
+base's rows capped by ``cap_rows``, and pads them once into a dense
+int32 ``PackedBatch``.
 
 numpy is imported only by the functions that build or take a
 ``PackedBatch`` (``pack_flat``, ``pack_batch``, ``read_shard``,
 ``write_shard``), so ``lusokit pack``, which streams through
-``cap_rows`` and ``ShardWriter``, never loads it.
+``cap_rows``, ``ShardWriter`` and ``write_view``, never loads it.
 """
 
 from __future__ import annotations
@@ -42,12 +52,14 @@ if TYPE_CHECKING:
     from lusokit.tokenizer import TokenizedSequence
 
 SHARD_MAGIC = b"LKPK"
+VIEW_MAGIC = b"LKPV"
 SHARD_VERSION = 2
 _TOKEN_DTYPE = "<i4"
 _ID_DTYPES = {2: "<u2", 4: _TOKEN_DTYPE}  # a shard's ids, by the header's int width
 ID_TYPECODES = {2: "H", 4: "i"}  # array typecodes of native ids, by item width
 _HEADER = struct.Struct("<4sHBxIiI")  # magic, version, int width, (reserved), stage, pad id, rows
 _BIG_ENDIAN = sys.byteorder == "big"
+_NAME_MAX = 255  # bytes of a base shard's file name in a view
 
 
 @dataclass(frozen=True)
@@ -335,37 +347,113 @@ def write_shard(path: str | Path, batch: PackedBatch) -> None:
         writer.append(ids.astype(_ID_DTYPES[writer.width]).tobytes(), batch.lengths().tolist())
 
 
+def write_view(path: str | Path, base: str | Path, stage_max_len: int) -> None:
+    """Write a cap view at path of the full shard at base, capped at stage_max_len.
+
+    The view stores only base's file name, which ``read_shard`` looks up
+    in the view's own directory, so base must lie in that directory. The
+    cap must lie in [2, base's cap].
+    """
+    path, base = Path(path), Path(base)
+    if path.parent.resolve() != base.parent.resolve() or path.name == base.name:
+        raise ValueError(f"view {path} must lie beside its base {base}, under another name")
+    with base.open("rb") as handle:
+        _, int_width, stage, pad_id, rows = _read_header(handle, base, full_only=True)
+    if not 2 <= stage_max_len <= stage:
+        raise ValueError(f"view cap must lie in [2, {stage}] for base {base}, got {stage_max_len}")
+    header = _HEADER.pack(VIEW_MAGIC, SHARD_VERSION, int_width, stage_max_len, pad_id, rows)
+    path.write_bytes(header + base.name.encode("utf-8"))
+
+
 def read_shard(path: str | Path) -> PackedBatch:
-    """Validate a stage shard and pad its rows into a dense int32 batch."""
+    """Validate a stage shard or cap view and pad its rows into a dense int32 batch."""
+    stage, pad_id, ids, lengths = _read_rows(Path(path))
+    return _pad(ids, lengths, stage, pad_id)
+
+
+def _read_header(
+    handle, path: Path, full_only: bool = False
+) -> tuple[bytes, int, int, int, int]:
+    """(magic, int width, stage cap, pad id, rows) of a shard's or view's valid header.
+
+    full_only refuses a view, as a view's base must be a full shard.
+    """
+    header = handle.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise ConfigurationError(f"shard {path} is too short to hold a header")
+    magic, version, int_width, stage, pad_id, rows = _HEADER.unpack(header)
+    if magic not in (SHARD_MAGIC, VIEW_MAGIC):
+        raise ConfigurationError(f"shard {path} has bad magic {magic!r}")
+    if full_only and magic == VIEW_MAGIC:
+        raise ConfigurationError(f"shard {path} is a cap view; a view's base must be a full shard")
+    if version != SHARD_VERSION:
+        raise ConfigurationError(
+            f"shard {path} is version {version}; only version {SHARD_VERSION} "
+            "is readable (re-run lusokit pack)"
+        )
+    if int_width not in _ID_DTYPES:
+        raise ConfigurationError(f"shard {path} has unsupported int width {int_width}")
+    if rows < 1 or stage < 2:
+        raise ConfigurationError(f"shard {path} has {rows} rows under stage cap {stage}")
+    return magic, int_width, stage, pad_id, rows
+
+
+def _read_rows(path: Path, full_only: bool = False) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(stage cap, pad id, ids, lengths) of a shard's ragged rows.
+
+    ids are the kept ids back to back, at the shard's width. A view's
+    rows are its base's, capped at the view's cap by ``cap_rows``;
+    full_only refuses a view, as ``_read_header`` does.
+    """
     import numpy as np
 
-    with Path(path).open("rb") as handle:
-        header = handle.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ConfigurationError(f"shard {path} is too short to hold a header")
-        magic, version, int_width, stage, pad_id, rows = _HEADER.unpack(header)
-        if magic != SHARD_MAGIC:
-            raise ConfigurationError(f"shard {path} has bad magic {magic!r}")
-        if version != SHARD_VERSION:
-            raise ConfigurationError(
-                f"shard {path} is version {version}; only version {SHARD_VERSION} "
-                "is readable (re-run lusokit pack)"
-            )
-        dtype = _ID_DTYPES.get(int_width)
-        if dtype is None:
-            raise ConfigurationError(f"shard {path} has unsupported int width {int_width}")
-        if rows < 1 or stage < 2:
-            raise ConfigurationError(f"shard {path} has {rows} rows under stage cap {stage}")
-        size = os.fstat(handle.fileno()).st_size
-        if size < _HEADER.size + 4 * rows:
-            raise ConfigurationError(f"shard {path} payload size mismatch")
-        handle.seek(size - 4 * rows)
-        lengths = np.frombuffer(handle.read(4 * rows), dtype="<u4")
-        if lengths.min() < 1 or lengths.max() > stage:
-            raise ConfigurationError(f"shard {path} has a row length outside [1, {stage}]")
-        tokens = int(lengths.sum(dtype=np.int64))
-        if size != _HEADER.size + int_width * tokens + 4 * rows:
-            raise ConfigurationError(f"shard {path} payload size mismatch")
-        handle.seek(_HEADER.size)
-        ids = np.frombuffer(handle.read(int_width * tokens), dtype=dtype)
-    return _pad(ids, lengths, stage, pad_id)
+    with path.open("rb") as handle:
+        magic, int_width, stage, pad_id, rows = _read_header(handle, path, full_only)
+        if magic == VIEW_MAGIC:
+            name = handle.read(_NAME_MAX + 1)
+        else:
+            size = os.fstat(handle.fileno()).st_size
+            if size < _HEADER.size + 4 * rows:
+                raise ConfigurationError(f"shard {path} payload size mismatch")
+            handle.seek(size - 4 * rows)
+            lengths = np.frombuffer(handle.read(4 * rows), dtype="<u4")
+            if lengths.min() < 1 or lengths.max() > stage:
+                raise ConfigurationError(f"shard {path} has a row length outside [1, {stage}]")
+            tokens = int(lengths.sum(dtype=np.int64))
+            if size != _HEADER.size + int_width * tokens + 4 * rows:
+                raise ConfigurationError(f"shard {path} payload size mismatch")
+            handle.seek(_HEADER.size)
+            ids = np.frombuffer(handle.read(int_width * tokens), dtype=_ID_DTYPES[int_width])
+            return stage, pad_id, ids, lengths
+    try:
+        base_name = name.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"view {path} names its base in invalid UTF-8") from None
+    if not base_name or len(name) > _NAME_MAX or any(c in base_name for c in "/\\\0"):
+        raise ConfigurationError(
+            f"view {path} names base {base_name!r}, which is not a file name in its directory"
+        )
+    base = path.parent / base_name
+    try:
+        base_stage, base_pad, ids, lengths = _read_rows(base, full_only=True)
+    except FileNotFoundError:
+        raise ConfigurationError(f"view {path} names base {base_name}, which is missing") from None
+    except OSError as exc:
+        raise ConfigurationError(f"view {path} cannot read its base {base}: {exc.strerror}") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"view {path}: {exc}") from None
+    if stage > base_stage:
+        raise ConfigurationError(
+            f"view {path} caps at {stage}, above its base {base}'s cap of {base_stage}"
+        )
+    found = (ids.itemsize, base_pad, len(lengths))
+    if found != (int_width, pad_id, rows):
+        raise ConfigurationError(
+            f"view {path} expects int width {int_width}, pad id {pad_id} and {rows} rows; "
+            f"its base {base} has {found[0]}, {found[1]} and {found[2]}"
+        )
+    # cap_rows takes native ids; on a little-endian host this copies nothing
+    capped, kept = cap_rows(
+        np.ascontiguousarray(ids, ids.dtype.newbyteorder("=")), lengths.tolist(), stage
+    )
+    return stage, pad_id, np.frombuffer(capped, dtype=ids.dtype), np.array(kept, dtype="<u4")

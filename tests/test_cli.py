@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from lusokit.benchmarks import TASKS
 from lusokit.cli import dispatch
 from lusokit.experiments.grid import build_matrix, load_roster, make_run_key
 from lusokit.experiments.store import ResultsStore
-from lusokit.packing import pack_flat, read_shard
+from lusokit.packing import VIEW_MAGIC, pack_flat, read_shard
 from lusokit.tokenizer import load_vocabulary, tokenize_flat
 
 from helpers import BLOCK_EXACT_HOST, clean_text, rule_violating_text
@@ -266,10 +267,15 @@ class TestPipelineCommands:
              "--schedule", "8:100,32:50,512:10", "--output-dir", str(out_dir)]
         ) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
+        base = manifest["stages"][-1]["shard"]
         for stage in manifest["stages"]:
             path = out_dir / stage["shard"]
             assert path.read_bytes()[6] == width
-            assert path.stat().st_size == 20 + width * stage["tokens"] + 4 * stage["rows"]
+            if stage["shard"] == base:  # the full shard at the top cap
+                assert path.stat().st_size == 20 + width * stage["tokens"] + 4 * stage["rows"]
+            else:  # a cap view of it: header, then the base's name
+                assert path.read_bytes()[:4] == VIEW_MAGIC
+                assert path.stat().st_size == 20 + len(base.encode())
             cap = stage["max_len"]
             want = pack_flat(np.array(ids, dtype="<i4"), np.array(lengths), cap, vocab.pad_id)
             got = read_shard(path)
@@ -307,13 +313,59 @@ class TestPipelineCommands:
         src = tmp_path / "empty.jsonl"
         src.write_text("", encoding="utf-8")
         out_dir = tmp_path / "p"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("the user's own file\n", encoding="utf-8")
         code = dispatch(
             ["pack", "--input", str(src), "--vocab", VOCAB,
              "--schedule", "16:100,32:50", "--output-dir", str(out_dir)]
         )
         assert code == 1
         assert "has no records to pack" in capsys.readouterr().err
-        assert list(out_dir.glob("*")) == []
+        # no stage_*.bin, *.partial or manifest.json, and the user's file stays
+        assert [p.name for p in out_dir.iterdir()] == ["notes.txt"]
+
+    def test_pack_renames_the_base_before_any_view_and_writes_the_manifest_last(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from lusokit import packing
+
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
+        argv = ["pack", "--input", src, "--vocab", VOCAB, "--schedule", "8:10,16:10,32:10",
+                "--output-dir", str(tmp_path / "p")]
+        assert dispatch(argv) == 0  # an earlier pack into the same directory
+        real = packing.write_view
+        seen = []
+
+        def watched(path, base, cap):
+            out = Path(path).parent
+            seen.append((cap, Path(base).name, sorted(p.name for p in out.glob("*.partial")),
+                         (out / "manifest.json").exists(), Path(base).exists()))
+            real(path, base, cap)
+
+        monkeypatch.setattr(packing, "write_view", watched)
+        assert dispatch(argv) == 0
+        assert seen == [(8, "stage_32.bin", [], False, True), (16, "stage_32.bin", [], False, True)]
+        assert sorted(p.name for p in (tmp_path / "p").iterdir()) == [
+            "manifest.json", "stage_16.bin", "stage_32.bin", "stage_8.bin"
+        ]
+
+    def test_packed_directory_moved_whole_reads_back_unchanged(self, tmp_path, capsys):
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(20)])
+        out_dir = tmp_path / "p"
+        assert dispatch(
+            ["pack", "--input", src, "--vocab", VOCAB,
+             "--schedule", "8:100,32:50,512:10", "--output-dir", str(out_dir)]
+        ) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        before = [read_shard(out_dir / stage["shard"]) for stage in manifest["stages"]]
+        moved = tmp_path / "elsewhere" / "packed"
+        shutil.copytree(out_dir, moved)
+        shutil.rmtree(out_dir)
+        for stage, want in zip(manifest["stages"], before):
+            got = read_shard(moved / stage["shard"])
+            assert got.stage_max_len == want.stage_max_len == stage["max_len"]
+            assert np.array_equal(got.token_ids, want.token_ids)
+            assert np.array_equal(got.attention_mask, want.attention_mask)
 
     @pytest.mark.parametrize("batch, devices", [("63", "2"), ("0", "2"), ("64", "0")])
     def test_pack_bad_device_split_fails_before_any_work(self, tmp_path, capsys, batch, devices):
@@ -558,13 +610,16 @@ class TestProcessFanOut:
         monkeypatch.setattr(fanout, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "CHUNK_RECORDS", 3)
         out_dir = tmp_path / "p"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("the user's own file\n", encoding="utf-8")
         code = dispatch(
             ["pack", "--input", str(tmp_path / "in.jsonl"), "--vocab", VOCAB,
              "--schedule", "8:10,32:10,256:10", "--output-dir", str(out_dir)]
         )
         assert code == 1
         assert "error: cannot tokenize r20" in capsys.readouterr().err
-        assert list(out_dir.glob("*")) == []
+        # no stage_*.bin, *.partial or manifest.json, and the user's file stays
+        assert [p.name for p in out_dir.iterdir()] == ["notes.txt"]
         assert len(forks) == 2
 
     def test_dead_worker_fails_the_command(self, tmp_path):

@@ -1,6 +1,7 @@
 """Truncation, batch packing, schedules, shard files."""
 
 import struct
+import sys
 from array import array
 from itertools import accumulate, chain
 
@@ -14,6 +15,7 @@ from lusokit.packing import (
     ID_TYPECODES,
     SHARD_MAGIC,
     SHARD_VERSION,
+    VIEW_MAGIC,
     PackedBatch,
     ShardWriter,
     TruncationSchedule,
@@ -25,6 +27,7 @@ from lusokit.packing import (
     read_shard,
     stage_for_step,
     write_shard,
+    write_view,
 )
 from lusokit.tokenizer import TokenizedSequence
 
@@ -504,3 +507,148 @@ class TestShards:
         data = bytearray(self.shard(tmp_path, NARROW))
         data[6] = 4
         self.rejected(tmp_path, bytes(data))
+
+
+def native(data, width):
+    """Little-endian shard bytes of width-byte ids as a native array, as cap_rows takes them."""
+    ids = array(ID_TYPECODES[width], data)
+    if sys.byteorder == "big":
+        ids.byteswap()
+    return ids
+
+
+class TestViews:
+    """Cap views: a stage below the top cap, stored as the top shard's name."""
+
+    def base(self, tmp_path, rows=((CLS, 5, 6, 7, 8, 9, SEP), (CLS, 5, SEP))):
+        """A full cap-8 shard of rows, 2-byte ids, at tmp_path / "stage_8.bin"."""
+        path = tmp_path / "stage_8.bin"
+        with ShardWriter(path, 8, PAD, NARROW) as writer:
+            writer.append(*cap_rows(array("H", chain(*rows)), [len(row) for row in rows], 8))
+        return path
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 4]), st.integers(min_value=2, max_value=24), st.data())
+    def test_caps_nest_and_a_view_reads_as_pack_flat(self, tmp_path_factory, width, top, data):
+        cap = data.draw(st.integers(min_value=2, max_value=top), label="cap")
+        near = sorted({2, cap, cap + 1, top, top + 1})
+        lengths = data.draw(
+            st.lists(st.sampled_from(near) | st.integers(1, 2 * top), min_size=1, max_size=12),
+            label="lengths",
+        )
+        largest = NARROW - 1 if width == 2 else 2**31 - 1
+        flat = data.draw(
+            st.lists(st.integers(0, largest), min_size=sum(lengths), max_size=sum(lengths)),
+            label="ids",
+        )
+        pad = data.draw(st.integers(min_value=0, max_value=9), label="pad")
+        ids = array(ID_TYPECODES[width], flat)
+        top_ids, top_kept = cap_rows(ids, lengths, top)
+        assert cap_rows(native(top_ids, width), top_kept, cap) == cap_rows(ids, lengths, cap)
+
+        out = tmp_path_factory.mktemp("packed")
+        with ShardWriter(out / "base.bin", top, pad, NARROW if width == 2 else WIDE) as writer:
+            writer.append(top_ids, top_kept)
+        write_view(out / "view.bin", out / "base.bin", cap)
+        want = pack_flat(np.array(flat, dtype="<i4"), np.array(lengths), cap, pad)
+        got = read_shard(out / "view.bin")
+        assert got.token_ids.dtype == np.dtype("<i4")
+        assert got.attention_mask.dtype == np.uint8
+        assert np.array_equal(got.token_ids, want.token_ids)
+        assert np.array_equal(got.attention_mask, want.attention_mask)
+        assert got.stage_max_len == cap
+
+    def test_view_layout(self, tmp_path):
+        base = self.base(tmp_path)
+        view = tmp_path / "stage_4.bin"
+        write_view(view, base, 4)
+        header = struct.pack("<4sHBxIiI", VIEW_MAGIC, SHARD_VERSION, 2, 4, PAD, 2)
+        assert view.read_bytes() == header + b"stage_8.bin"
+        assert read_shard(view).token_ids.tolist() == [[CLS, 5, 6, SEP], [CLS, 5, SEP, PAD]]
+
+    @pytest.mark.parametrize("cap", [1, 9])
+    def test_write_view_rejects_a_cap_outside_the_base(self, tmp_path, cap):
+        with pytest.raises(ValueError):
+            write_view(tmp_path / "v.bin", self.base(tmp_path), cap)
+        assert not (tmp_path / "v.bin").exists()
+
+    def test_write_view_lies_beside_its_base_under_another_name(self, tmp_path):
+        base = self.base(tmp_path)
+        (tmp_path / "views").mkdir()
+        with pytest.raises(ValueError):
+            write_view(tmp_path / "views" / "v.bin", base, 4)
+        assert not (tmp_path / "views" / "v.bin").exists()
+        with pytest.raises(ValueError):
+            write_view(base, base, 4)
+        assert read_shard(base).stage_max_len == 8
+
+    def test_write_view_rejects_a_view_as_base(self, tmp_path):
+        write_view(tmp_path / "v.bin", self.base(tmp_path), 4)
+        with pytest.raises(ConfigurationError):
+            write_view(tmp_path / "w.bin", tmp_path / "v.bin", 2)
+
+    def rejected(self, path):
+        with pytest.raises(ConfigurationError) as exc:
+            read_shard(path)
+        message = str(exc.value)
+        assert str(path) in message
+        return message
+
+    def view_bytes(self, cap=4, width=2, pad=PAD, rows=2, name=b"stage_8.bin"):
+        return struct.pack("<4sHBxIiI", VIEW_MAGIC, SHARD_VERSION, width, cap, pad, rows) + name
+
+    def test_missing_base_named(self, tmp_path):
+        view = tmp_path / "v.bin"
+        view.write_bytes(self.view_bytes(name=b"stage_512.bin"))
+        message = self.rejected(view)
+        assert "stage_512.bin" in message and "missing" in message
+
+    @pytest.mark.parametrize(
+        "name", [b"", b".", b"..", b"../stage_8.bin", b"sub/stage_8.bin", b"/stage_8.bin", b"\xff"]
+    )
+    def test_base_name_must_be_a_file_name_in_the_views_directory(self, tmp_path, name):
+        self.base(tmp_path)
+        view = tmp_path / "v.bin"
+        view.write_bytes(self.view_bytes(name=name))
+        self.rejected(view)
+
+    @pytest.mark.parametrize("cap", [0, 1, 9])
+    def test_view_cap_must_lie_within_the_base(self, tmp_path, cap):
+        self.base(tmp_path)
+        view = tmp_path / "v.bin"
+        view.write_bytes(self.view_bytes(cap=cap))
+        self.rejected(view)
+
+    @pytest.mark.parametrize("field", [{"rows": 3}, {"width": 4}, {"pad": PAD + 1}])
+    def test_view_disagreeing_with_its_base_rejected(self, tmp_path, field):
+        base = self.base(tmp_path)
+        view = tmp_path / "v.bin"
+        view.write_bytes(self.view_bytes(**field))
+        assert str(base) in self.rejected(view)
+
+    def test_stale_view_over_another_corpus_rejected(self, tmp_path):
+        # a view left by an earlier pack, whose base a later pack of
+        # another corpus replaced
+        write_view(tmp_path / "stage_4.bin", self.base(tmp_path), 4)
+        self.base(tmp_path, rows=[(CLS, 7, SEP)] * 3)
+        self.rejected(tmp_path / "stage_4.bin")
+
+    def test_view_of_a_view_rejected(self, tmp_path):
+        write_view(tmp_path / "stage_4.bin", self.base(tmp_path), 4)
+        view = tmp_path / "v.bin"
+        view.write_bytes(self.view_bytes(cap=2, name=b"stage_4.bin"))
+        assert "a view's base must be a full shard" in self.rejected(view)
+
+    def test_view_cut_short_rejected(self, tmp_path):
+        self.base(tmp_path)
+        data = self.view_bytes()
+        view = tmp_path / "v.bin"
+        for cut in (1, 5, len(data) - 20, len(data) - 19, len(data)):
+            view.write_bytes(data[:-cut])
+            self.rejected(view)
+
+    def test_corrupt_base_named_with_the_view(self, tmp_path):
+        base = self.base(tmp_path)
+        write_view(tmp_path / "v.bin", base, 4)
+        base.write_bytes(base.read_bytes()[:-2])
+        assert str(base) in self.rejected(tmp_path / "v.bin")
