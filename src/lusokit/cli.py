@@ -35,8 +35,8 @@ from lusokit.corpus_io import (
 from lusokit.errors import ConfigurationError, DataError
 
 # Each command imports the rest of what it uses, so no command pays at
-# start-up for another's modules (yaml, numpy, requests, the experiment
-# and benchmark modules).
+# start-up for another's modules (yaml, requests, the experiment and
+# benchmark modules). No command imports numpy.
 
 log = logging.getLogger("lusokit")
 
@@ -143,7 +143,6 @@ def _cmd_split_variant(args: argparse.Namespace) -> int:
 
 
 def _cmd_curate(args: argparse.Namespace) -> int:
-    import numpy  # noqa: F401  (the quality rules use it; imported once, before the workers fork)
     from dataclasses import asdict
 
     from lusokit.config import PipelineConfig, load_domain_list

@@ -38,10 +38,11 @@ _PATH_KEYS = {
 
 
 def load_word_list(path: str | Path) -> frozenset[str]:
-    """One word per line; blanks and '#' comment lines are skipped."""
+    """One word per line, lowercased (the quality rules look up lowercased
+    words); blanks and '#' comment lines are skipped."""
     out = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip()
+        word = line.strip().lower()
         if word and not word.startswith("#"):
             out.add(word)
     return frozenset(out)

@@ -45,6 +45,10 @@ RULE_NAMES = tuple(name for name, _violated in _RULES)
 
 QUALITY_EXEMPT_SOURCES = frozenset({Source.CULTURAX})
 
+# The Latin-1 bytes of letters, digits and whitespace: what is left of a
+# Latin-1 encoding once they are deleted is its special characters.
+_PLAIN_LATIN1 = bytes(b for b in range(256) if chr(b).isalnum() or chr(b).isspace())
+
 _RATIO_FIELDS = (
     "max_char_repetition_ratio",
     "max_word_repetition_ratio",
@@ -153,15 +157,36 @@ def apply_blocklist(record: CorpusRecord, blocklist: Blocklist) -> bool:
 def _distinct_trigrams(text: str) -> int:
     """Distinct character 3-grams of a text of at least 3 characters.
 
-    Each 3-gram is packed into one int64 from its code points (21 bits
-    each, surrogates included), so no substring is built.
+    The text is written at ``width`` bytes per character, equal characters
+    as equal bytes: its Latin-1 encoding, one byte each, or else each
+    distinct character's rank in two bytes. One strided slice assignment
+    per byte copies every 3-gram's ``3 * width`` bytes into an unsigned
+    4- or 8-byte key, and the keys are counted as a set of ints, so no
+    substring or tuple is built. Only a text of more than 65,536 distinct
+    characters, which two bytes cannot rank, counts tuples.
     """
-    import numpy as np  # deferred: `lusokit dedup` imports this module and needs no numpy
+    try:
+        data, width = text.encode("latin-1"), 1
+    except UnicodeEncodeError:
+        chars = set(text)
+        if len(chars) > 1 << 16:
+            return len(set(zip(text, text[1:], text[2:])))
+        ranks = {ord(c): i for i, c in enumerate(chars)}
+        data, width = text.translate(ranks).encode("utf-16-le", "surrogatepass"), 2
+    n = len(text) - 2
+    size = 4 * width
+    keys = bytearray(size * n)
+    for i in range(3 * width):  # byte i % width of the 3-gram's character i // width
+        keys[i::size] = data[i : i + n * width : width]
+    return len(set(memoryview(keys).cast("I" if width == 1 else "Q")))
 
-    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
-    keys = points[:-2] << 42 | points[1:-1] << 21 | points[2:]
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+def _special_chars(text: str) -> int:
+    """How many characters of text are neither alphanumeric nor whitespace."""
+    try:
+        return len(text.encode("latin-1").translate(None, _PLAIN_LATIN1))
+    except UnicodeEncodeError:
+        return sum(text.count(c) for c in set(text) if not c.isalnum() and not c.isspace())
 
 
 def measure_rules(text: str, cfg: FilterConfig) -> dict[str, float]:
@@ -178,8 +203,7 @@ def measure_rules(text: str, cfg: FilterConfig) -> dict[str, float]:
     n_grams = len(text) - 2
     char_rep = 1.0 - _distinct_trigrams(text) / n_grams if n_grams > 0 else 0.0
     word_rep = 1.0 - len(set(tokens)) / n_words if n_words else 0.0
-    specials = sum(text.count(c) for c in set(text) if not c.isalnum() and not c.isspace())
-    special = specials / len(text) if text else 0.0
+    special = _special_chars(text) / len(text) if text else 0.0
     if n_words:
         lowered = text.lower().split()
         stopword = sum(map(cfg.stopword_list.__contains__, lowered)) / n_words

@@ -113,14 +113,48 @@ def test_fake_translate_leaves_requests_unloaded(tmp_path):
 
 
 def test_pack_and_packing_import_leave_numpy_unloaded(tmp_path):
-    # pack streams ragged shards through array/struct; only the dense
-    # PackedBatch functions import numpy
-    src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
-    argv = ["pack", "--input", src, "--vocab", VOCAB, "--schedule", "16:100,32:50",
-            "--output-dir", str(tmp_path / "packed")]
-    code = ("import sys; from lusokit.cli import dispatch; "
-            f"code = dispatch({argv!r}); print(code, 'numpy' in sys.modules)")
-    assert run_python(code) == "0 False"
+    # no corpus command imports numpy, in its own process or in the forked
+    # workers of a multi-chunk input (an import there raises); only the
+    # dense PackedBatch functions of lusokit.packing import it
+    rows = [corpus_row(i, sample_text(i)) for i in range(20)]
+    src = jsonl(tmp_path / "raw.jsonl", rows)
+    out = tmp_path
+    argvs = [
+        ["ingest", "--input", src, "--output", f"{out}/norm.jsonl"],
+        ["split-variant", "--input", f"{out}/norm.jsonl", "--output-ptpt", f"{out}/pt.jsonl",
+         "--output-ptbr", f"{out}/br.jsonl"],
+        ["curate", "--input", f"{out}/br.jsonl", "--output", f"{out}/kept.jsonl"],
+        ["dedup", "--input", f"{out}/kept.jsonl", "--output", f"{out}/unique.jsonl"],
+        ["stats", "--input", f"{out}/unique.jsonl"],
+        ["pack", "--input", f"{out}/unique.jsonl", "--vocab", VOCAB, "--schedule", "16:100,32:50",
+         "--output-dir", f"{out}/packed"],
+    ]
+    code = f"""
+import json, os, sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy imported")
+
+sys.meta_path.insert(0, NoNumpy())
+from lusokit import cli, fanout
+
+cli.CHUNK_RECORDS = 4
+fanout.cpu_count = lambda: 2
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+runs = []
+for argv in {argvs!r}:
+    forks.clear()
+    runs.append((cli.dispatch(argv), len(forks)))
+print(json.dumps([runs, 'numpy' in sys.modules]))
+"""
+    runs, loaded = json.loads(run_python(code).splitlines()[-1])
+    assert [exit_code for exit_code, _ in runs] == [0] * len(argvs)
+    assert all(forks >= 1 for _, forks in runs), runs  # the workers ran
+    assert not loaded
+    assert len((out / "unique.jsonl").read_text().splitlines()) == len(rows)
     assert run_python("import sys, lusokit.packing; print('numpy' in sys.modules)") == "False"
 
 

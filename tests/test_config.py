@@ -6,7 +6,8 @@ import pytest
 import yaml
 
 from lusokit.config import PipelineConfig, load_domain_list, load_word_list
-from lusokit.curation import FilterConfig
+from lusokit.corpus_io import CorpusRecord
+from lusokit.curation import FilterConfig, apply_filters
 from lusokit.errors import ConfigurationError
 
 
@@ -21,6 +22,11 @@ class TestLists:
         path = tmp_path / "words.txt"
         path.write_text("# header\n\nde\n  que \n#tail\n", encoding="utf-8")
         assert load_word_list(path) == frozenset({"de", "que"})
+
+    def test_word_list_lowercases(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("Merda\nQUE\nde\n", encoding="utf-8")
+        assert load_word_list(path) == frozenset({"merda", "que", "de"})
 
     def test_domain_list_lowercases(self, tmp_path):
         path = tmp_path / "domains.txt"
@@ -100,6 +106,18 @@ class TestFactories:
         assert fcfg.enabled_rules == frozenset({"min_words", "max_words", "flagged_word"})
         # stopwords fall back to the bundled list
         assert "de" in fcfg.stopword_list
+
+    def test_flagged_word_matches_in_any_case(self, tmp_path):
+        # the rules compare lowercased words, so a capitalised list entry
+        # must still flag the word however the text writes it
+        (tmp_path / "flagged.txt").write_text("Merda\n", encoding="utf-8")
+        path = write_config(
+            tmp_path, "curation:\n  max_flagged_word_ratio: 0.0\n  flagged_words_file: flagged.txt\n"
+        )
+        fcfg = PipelineConfig.load(path).make_filter_config()
+        for word in ("merda", "Merda", "MERDA"):
+            record = CorpusRecord(id="r", text=f"isto nao passa de uma {word} qualquer")
+            assert apply_filters(record, fcfg).rejected_by == "flagged_word"
 
     def test_every_threshold_field_is_settable(self, tmp_path):
         # each numeric FilterConfig field gets a non-default value from YAML

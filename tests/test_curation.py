@@ -173,6 +173,22 @@ def _oracle_by_rule(text, cfg):
     return expected
 
 
+# The first character outside Latin-1 of a text sits at its start, in its
+# middle or at its end: the 3-gram count then ranks the text's characters.
+_NOT_LATIN1 = ["\u201c", "\u2014", "\u20ac", "\U0001f600", "\ud800"]
+_PLACED = [
+    text
+    for c in _NOT_LATIN1
+    for text in (c + "abc ab\xffc", "abc " + c + " ab\xffc", "abc ab\xffc" + c)
+]
+# More distinct characters than one byte holds, ranks up into the
+# surrogate range, and more than two bytes rank.
+_MANY_CHARS = [
+    pytest.param("".join(map(chr, range(0x1F300, 0x1F300 + n))) * 2, id=f"{n}-distinct")
+    for n in (257, 60_000, 65_537)
+]
+
+
 class TestMeasurementsMatchOracle:
     CFG = FilterConfig(
         stopword_list=BASE.stopword_list,
@@ -197,9 +213,26 @@ class TestMeasurementsMatchOracle:
             "a\ud800b \udc00\ud800 \ud83d\ude00",
             "!!",
             "#!# #!# ???",
+            "\x00\x00\x00",
+            "\xff\xff\xff",
+            "\x00\xff\x00",
+            "\xe9 \xff",
+            "\x00" * 40,
+            "\xff" * 40,
+            "a" * 9,
+            "\u20ac" * 9,
+            "\U0001f600" * 9,
+            "\ud800" * 9,
+            *_PLACED,
+            *_MANY_CHARS,
         ],
     )
     def test_edge_texts(self, text):
+        assert measure_rules(text, self.CFG) == _oracle_by_rule(text, self.CFG)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("\x00\xff a\xe9!") | st.characters(max_codepoint=0xFF), max_size=60))
+    def test_latin1_texts(self, text):
         assert measure_rules(text, self.CFG) == _oracle_by_rule(text, self.CFG)
 
     @settings(max_examples=300, deadline=None)
