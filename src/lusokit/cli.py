@@ -145,7 +145,7 @@ def _cmd_split_variant(args: argparse.Namespace) -> int:
 def _cmd_curate(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
-    from lusokit.config import PipelineConfig, load_domain_list
+    from lusokit.config import PipelineConfig, load_list
     from lusokit.curation import Blocklist, FilterConfig, curate_stream
 
     pipeline_cfg = PipelineConfig.load(args.config) if args.config else None
@@ -153,9 +153,9 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     block = pipeline_cfg.make_blocklist() if pipeline_cfg else Blocklist()
     exact, suffix = block.exact_domains, block.suffix_domains
     if args.blocklist_exact:
-        exact |= load_domain_list(args.blocklist_exact)
+        exact |= load_list(args.blocklist_exact)
     if args.blocklist_suffix:
-        suffix |= load_domain_list(args.blocklist_suffix)
+        suffix |= load_list(args.blocklist_suffix)
     blocklist = Blocklist(exact_domains=exact, suffix_domains=suffix)
 
     def curate(records):

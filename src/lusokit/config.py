@@ -37,19 +37,10 @@ _PATH_KEYS = {
 }
 
 
-def load_word_list(path: str | Path) -> frozenset[str]:
-    """One word per line, lowercased (the quality rules look up lowercased
-    words); blanks and '#' comment lines are skipped."""
-    out = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip().lower()
-        if word and not word.startswith("#"):
-            out.add(word)
-    return frozenset(out)
-
-
-def load_domain_list(path: str | Path) -> frozenset[str]:
-    """One domain per line, lowercased; blanks and comments skipped."""
+def load_list(path: str | Path) -> frozenset[str]:
+    """One word or domain per line, lowercased (the quality rules look up
+    lowercased words, and hostnames are compared lowercased); blanks and
+    '#' comment lines are skipped."""
     out = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         entry = line.strip().lower()
@@ -120,12 +111,12 @@ class PipelineConfig:
         """Build quality-rule settings, defaults filled from the package."""
         section = dict(self.curation)
         stopwords = (
-            load_word_list(section.pop("stopword_file"))
+            load_list(section.pop("stopword_file"))
             if "stopword_file" in section
             else load_default_stopwords()
         )
         flagged = (
-            load_word_list(section.pop("flagged_words_file"))
+            load_list(section.pop("flagged_words_file"))
             if "flagged_words_file" in section
             else frozenset()
         )
@@ -144,12 +135,12 @@ class PipelineConfig:
 
     def make_blocklist(self) -> Blocklist:
         exact = (
-            load_domain_list(self.blocklist["exact_file"])
+            load_list(self.blocklist["exact_file"])
             if "exact_file" in self.blocklist
             else frozenset()
         )
         suffix = (
-            load_domain_list(self.blocklist["suffix_file"])
+            load_list(self.blocklist["suffix_file"])
             if "suffix_file" in self.blocklist
             else frozenset()
         )

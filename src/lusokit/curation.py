@@ -100,6 +100,14 @@ class FilterConfig:
             raise ConfigurationError(
                 f"unknown filter rule(s): {sorted(unknown)}; valid rules: {list(RULE_NAMES)}"
             )
+        # measure_rules looks up lowercased words, so an entry with a
+        # capital letter could never match
+        for name in ("stopword_list", "flagged_word_list"):
+            for entry in sorted(getattr(self, name)):
+                if entry != entry.lower():
+                    raise ConfigurationError(
+                        f"{name} entries must be lowercase, got {entry!r}"
+                    )
 
     @classmethod
     def default(cls) -> "FilterConfig":

@@ -1,11 +1,14 @@
 """Result aggregation: model-selection-on-dev summary tables.
 
-For each (model, task) cell the winning hyperparameter combination is
-the one with the highest dev score averaged over seeds; ties fall to
-the lower learning rate, then lower dropout, then mixed precision off.
-The reported number is the winner's mean test score. Cells missing any
-run stay honest: they render as 'n.a.' with the missing-run count
-instead of an average over whatever happened to finish.
+The report's cells are build_matrix's runs grouped by (model, task),
+and each cell's combinations are its runs grouped by (lr, dropout,
+bf16), so the report expects exactly the runs that `run` executes. The
+winning combination of a cell is the one with the highest dev score
+averaged over seeds; ties fall to the lower learning rate, then lower
+dropout, then mixed precision off. The reported number is the winner's
+mean test score. Cells missing any run stay honest: they render as
+'n.a.' with the missing-run count instead of an average over whatever
+happened to finish.
 """
 
 from __future__ import annotations
@@ -13,14 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from lusokit.benchmarks import TASKS, TaskSpec
-from lusokit.experiments.grid import (
-    HyperGrid,
-    ModelEntry,
-    RunConfig,
-    iter_cells,
-    make_run_key,
-)
+from lusokit import DEFAULT_SPLIT_SEED
+from lusokit.benchmarks import TaskSpec
+from lusokit.experiments.grid import HyperGrid, ModelEntry, build_matrix, make_run_key
 from lusokit.experiments.store import STATUS_OK
 from lusokit.textutil import render_tsv_rows
 
@@ -52,72 +50,31 @@ def aggregate_cells(
     models: Sequence[ModelEntry],
     tasks: Iterable[TaskSpec] | None = None,
     grid: HyperGrid | None = None,
-    split_seed: int = 13,
+    split_seed: int = DEFAULT_SPLIT_SEED,
 ) -> list[CellResult]:
     """Summarize stored results over the expected run matrix."""
-    task_list = list(tasks) if tasks is not None else list(TASKS.values())
-    grid = grid if grid is not None else HyperGrid()
-    cells: list[CellResult] = []
-    for model, task in iter_cells(models, task_list):
-        expected = grid.combo_count * len(grid.seeds)
-        combo_scores: list[tuple[tuple[float, float, bool], float, float]] = []
-        ok_runs = 0
-        for lr, dropout, bf16 in grid.combos():
-            devs: list[float] = []
-            tests: list[float] = []
-            for seed in grid.seeds:
-                cfg = RunConfig(
-                    model=model.name,
-                    task=task.name,
-                    lr=lr,
-                    dropout=dropout,
-                    bf16=bf16,
-                    seed=seed,
-                    split_seed=split_seed,
-                )
-                rec = records.get(make_run_key(cfg))
-                if rec is None or rec.get("status") != STATUS_OK:
-                    continue
-                devs.append(float(rec["dev"]))
-                tests.append(float(rec["test"]))
-            ok_runs += len(devs)
-            if len(devs) == len(grid.seeds):
-                combo_scores.append(
-                    (
-                        (lr, dropout, bf16),
-                        sum(devs) / len(devs),
-                        sum(tests) / len(tests),
-                    )
-                )
+    cells: dict[tuple[str, str], dict[tuple[float, float, bool], list]] = {}
+    for run in build_matrix(models, tasks, grid, split_seed):
+        rec = records.get(make_run_key(run))
+        ok = rec is not None and rec.get("status") == STATUS_OK
+        combos = cells.setdefault((run.model, run.task), {})
+        combos.setdefault((run.lr, run.dropout, run.bf16), []).append(
+            (float(rec["dev"]), float(rec["test"])) if ok else None
+        )
+    results = []
+    for (model, task), combos in cells.items():
+        expected = sum(len(scores) for scores in combos.values())
+        ok_runs = sum(s is not None for scores in combos.values() for s in scores)
+        best = (None, None, None)
         if ok_runs == expected:
-            best = min(
-                combo_scores,
-                key=lambda item: (-item[1], item[0][0], item[0][1], item[0][2]),
-            )
-            cells.append(
-                CellResult(
-                    model=model.name,
-                    task=task.name,
-                    expected_runs=expected,
-                    ok_runs=ok_runs,
-                    best_combo=best[0],
-                    mean_dev=best[1],
-                    mean_test=best[2],
-                )
-            )
-        else:
-            cells.append(
-                CellResult(
-                    model=model.name,
-                    task=task.name,
-                    expected_runs=expected,
-                    ok_runs=ok_runs,
-                    best_combo=None,
-                    mean_dev=None,
-                    mean_test=None,
-                )
-            )
-    return cells
+            means = [
+                (combo, sum(d for d, _ in scores) / len(scores),
+                 sum(t for _, t in scores) / len(scores))
+                for combo, scores in combos.items()
+            ]
+            best = min(means, key=lambda item: (-item[1], *item[0]))
+        results.append(CellResult(model, task, expected, ok_runs, *best))
+    return results
 
 
 def render_cell_table(cells: Sequence[CellResult]) -> str:

@@ -4,12 +4,17 @@ A full sweep is the cross product of model roster x applicable tasks x
 hyperparameter combinations x seeds. Applicability drops tasks whose
 language variant the model was not trained for and multiple-choice
 tasks on models whose head layout cannot score paired choices.
+
+build_matrix is the one place that enumerates the runs: `run`, `matrix`
+and `report` all take their runs from it. RunConfig's fields are the
+one list of what a run is: its key, its store record and the trainer
+template's placeholders all derive from them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -53,14 +58,6 @@ class HyperGrid:
             for dropout in self.dropouts:
                 for bf16 in self.bf16_options:
                     yield (lr, dropout, bf16)
-
-    @property
-    def combo_count(self) -> int:
-        return len(self.learning_rates) * len(self.dropouts) * len(self.bf16_options)
-
-    @property
-    def runs_per_cell(self) -> int:
-        return self.combo_count * len(self.seeds)
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,8 @@ def load_roster(path: str | Path) -> list[ModelEntry]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Identity of a single fine-tuning run."""
+    """Identity of a single fine-tuning run. The field order is part of
+    the run key: reordering the fields changes every key."""
 
     model: str
     task: str
@@ -160,38 +158,26 @@ class RunConfig:
     seed: int
     split_seed: int
 
-    def key_fields(self) -> tuple[str, ...]:
-        """Canonical string forms used for hashing and command building."""
-        return (
-            self.model,
-            self.task,
-            repr(self.lr),
-            repr(self.dropout),
-            "true" if self.bf16 else "false",
-            str(self.seed),
-            str(self.split_seed),
-        )
+    def key_fields(self) -> dict[str, str]:
+        """Canonical string form of each field, by name, in field order;
+        used for hashing and command building. A float's str is its
+        shortest round-trip repr; bf16 reads true/false."""
+        return {
+            name: ("true" if value else "false") if isinstance(value, bool) else str(value)
+            for name, value in vars(self).items()
+        }
 
     def to_dict(self) -> dict:
-        return {
-            "run_key": make_run_key(self),
-            "model": self.model,
-            "task": self.task,
-            "lr": self.lr,
-            "dropout": self.dropout,
-            "bf16": self.bf16,
-            "seed": self.seed,
-            "split_seed": self.split_seed,
-        }
+        return {"run_key": make_run_key(self), **vars(self)}
 
 
 def make_run_key(cfg: RunConfig) -> str:
     """Stable 16-hex-digit identity for one run."""
-    joined = "\x1f".join(cfg.key_fields())
+    joined = "\x1f".join(cfg.key_fields().values())
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
-def iter_cells(
+def _iter_cells(
     models: Sequence[ModelEntry], tasks: Iterable[TaskSpec]
 ) -> Iterator[tuple[ModelEntry, TaskSpec]]:
     """(model, task) pairs that are actually runnable.
@@ -214,37 +200,17 @@ def build_matrix(
     grid: HyperGrid | None = None,
     split_seed: int = DEFAULT_SPLIT_SEED,
 ) -> list[RunConfig]:
-    """Expand roster x tasks x grid x seeds into concrete run configs."""
+    """Expand roster x tasks x grid x seeds into concrete run configs, in
+    cell, then combination, then seed order."""
     task_list = list(tasks) if tasks is not None else list(TASKS.values())
     grid = grid if grid is not None else HyperGrid()
-    runs = []
-    for model, task in iter_cells(models, task_list):
-        for lr, dropout, bf16 in grid.combos():
-            for seed in grid.seeds:
-                runs.append(
-                    RunConfig(
-                        model=model.name,
-                        task=task.name,
-                        lr=lr,
-                        dropout=dropout,
-                        bf16=bf16,
-                        seed=seed,
-                        split_seed=split_seed,
-                    )
-                )
+    runs = [
+        RunConfig(model.name, task.name, *combo, seed, split_seed)
+        for model, task in _iter_cells(models, task_list)
+        for combo in grid.combos()
+        for seed in grid.seeds
+    ]
     keys = [make_run_key(r) for r in runs]
     if len(set(keys)) != len(keys):
         raise ConfigurationError("run matrix produced colliding run keys")
     return runs
-
-
-def expected_run_count(
-    models: Sequence[ModelEntry],
-    tasks: Iterable[TaskSpec] | None = None,
-    grid: HyperGrid | None = None,
-) -> int:
-    """Matrix size without materializing the configs."""
-    task_list = list(tasks) if tasks is not None else list(TASKS.values())
-    grid = grid if grid is not None else HyperGrid()
-    cells = sum(1 for _ in iter_cells(models, task_list))
-    return cells * grid.runs_per_cell

@@ -17,7 +17,7 @@ import shlex
 import string
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 from lusokit.benchmarks import TASKS, Metric
@@ -26,16 +26,7 @@ from lusokit.experiments.grid import RunConfig, make_run_key
 from lusokit.experiments.store import STATUS_FAILED, STATUS_OK, ResultsStore
 from lusokit.fanout import fan_out
 
-REQUIRED_PLACEHOLDERS = (
-    "model",
-    "task",
-    "lr",
-    "dropout",
-    "bf16",
-    "seed",
-    "split_seed",
-    "run_key",
-)
+REQUIRED_PLACEHOLDERS = (*(f.name for f in fields(RunConfig)), "run_key")
 
 _SCORE_RE = re.compile(
     r"^dev=([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s+"
@@ -76,17 +67,7 @@ def validate_template(template: str) -> None:
 
 
 def command_fields(cfg: RunConfig) -> dict[str, str]:
-    model, task, lr, dropout, bf16, seed, split_seed = cfg.key_fields()
-    return {
-        "model": model,
-        "task": task,
-        "lr": lr,
-        "dropout": dropout,
-        "bf16": bf16,
-        "seed": seed,
-        "split_seed": split_seed,
-        "run_key": make_run_key(cfg),
-    }
+    return {**cfg.key_fields(), "run_key": make_run_key(cfg)}
 
 
 def build_command(template: str, cfg: RunConfig) -> list[str]:
@@ -162,12 +143,6 @@ class ExecutionSummary:
     failed: int
     skipped_completed: int
     skipped_claimed: int
-
-    @property
-    def total(self) -> int:
-        return (
-            self.attempted + self.skipped_completed + self.skipped_claimed
-        )
 
 
 def run_matrix(

@@ -1,8 +1,8 @@
 """Shared test utilities.
 
-Contains independent re-implementations of the quality-rule math and
-of greedy tokenization (used as oracles against the package's own)
-and a synthetic corpus
+Contains independent re-implementations of the quality-rule math, of
+greedy tokenization and of the report's model selection (used as
+oracles against the package's own) and a synthetic corpus
 generator that emits a raw input file together with a ledger of every
 outcome the pipeline is expected to produce from it.
 """
@@ -10,12 +10,15 @@ outcome the pipeline is expected to produce from it.
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import random
 import re
 from dataclasses import dataclass, field
 
 from lusokit.curation import RULE_NAMES, FilterConfig, load_default_stopwords
+from lusokit.experiments.aggregate import CellResult
+from lusokit.experiments.grid import RunConfig, make_run_key
 from lusokit.tokenizer import Vocabulary
 
 _WS_SPLIT = re.compile(r"\s+")
@@ -99,6 +102,47 @@ def reference_tokenize(text: str, vocab: Vocabulary) -> tuple[int, ...]:
             at_start = False
     ids.append(vocab.sep_id)
     return tuple(ids)
+
+
+def oracle_aggregate(records, models, tasks, grid, split_seed) -> list[CellResult]:
+    """Report cells by brute force: every runnable (model, task) pair,
+    every hyperparameter combination, every seed, looked up one by one.
+
+    A combination counts only when all its seeds have an ok record; a
+    complete cell's winner has the highest seed-averaged dev score, ties
+    going to the lowest lr, then the lowest dropout, then bf16 off.
+    """
+    cells = []
+    for model in models:
+        for task in tasks:
+            if model.variant not in task.variants:
+                continue
+            if task.requires_multichoice and not model.supports_multichoice:
+                continue
+            axes = (grid.learning_rates, grid.dropouts, grid.bf16_options)
+            expected = len(grid.seeds)
+            for axis in axes:
+                expected *= len(axis)
+            ok_runs = 0
+            means = {}
+            for combo in itertools.product(*axes):
+                devs, tests = [], []
+                for seed in grid.seeds:
+                    run = RunConfig(model.name, task.name, *combo, seed, split_seed)
+                    rec = records.get(make_run_key(run))
+                    if rec is not None and rec["status"] == "ok":
+                        devs.append(float(rec["dev"]))
+                        tests.append(float(rec["test"]))
+                ok_runs += len(devs)
+                if len(devs) == len(grid.seeds):
+                    means[combo] = (sum(devs) / len(devs), sum(tests) / len(tests))
+            if ok_runs < expected:
+                cells.append(CellResult(model.name, task.name, expected, ok_runs, None, None, None))
+                continue
+            top = max(dev for dev, _ in means.values())
+            best = sorted(combo for combo, (dev, _) in means.items() if dev == top)[0]
+            cells.append(CellResult(model.name, task.name, expected, ok_runs, best, *means[best]))
+    return cells
 
 
 # Word pools for generated Portuguese-looking text. The STOP words must

@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 import yaml
 
-from lusokit.config import PipelineConfig, load_domain_list, load_word_list
+from lusokit.config import PipelineConfig, load_list
 from lusokit.corpus_io import CorpusRecord
 from lusokit.curation import FilterConfig, apply_filters
 from lusokit.errors import ConfigurationError
@@ -21,17 +21,17 @@ class TestLists:
     def test_word_list_skips_blanks_and_comments(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("# header\n\nde\n  que \n#tail\n", encoding="utf-8")
-        assert load_word_list(path) == frozenset({"de", "que"})
+        assert load_list(path) == frozenset({"de", "que"})
 
     def test_word_list_lowercases(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("Merda\nQUE\nde\n", encoding="utf-8")
-        assert load_word_list(path) == frozenset({"merda", "que", "de"})
+        assert load_list(path) == frozenset({"merda", "que", "de"})
 
     def test_domain_list_lowercases(self, tmp_path):
         path = tmp_path / "domains.txt"
         path.write_text("Exemplo.PT\n# nada\nmais.pt\n", encoding="utf-8")
-        assert load_domain_list(path) == frozenset({"exemplo.pt", "mais.pt"})
+        assert load_list(path) == frozenset({"exemplo.pt", "mais.pt"})
 
 
 class TestLoad:

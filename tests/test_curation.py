@@ -108,6 +108,13 @@ class TestRules:
         with pytest.raises(ConfigurationError):
             FilterConfig(enabled_rules=frozenset({"regra_inexistente"}))
 
+    @pytest.mark.parametrize("name", ["stopword_list", "flagged_word_list"])
+    def test_word_lists_must_be_lowercase(self, name):
+        # the rules look words up lowercased: "Merda" would never match
+        with pytest.raises(ConfigurationError) as exc:
+            FilterConfig(**{name: frozenset({"de", "Merda"})}, max_flagged_word_ratio=0.0)
+        assert name in str(exc.value) and "'Merda'" in str(exc.value)
+
 
 def _random_text(rng):
     kind = rng.randrange(6)

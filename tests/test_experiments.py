@@ -1,14 +1,19 @@
 """Grid expansion, results store, runner, aggregation."""
 
+import dataclasses
 import fcntl
+import hashlib
 import json
 import os
 import signal
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lusokit.benchmarks import TASKS
 from lusokit.errors import ConfigurationError
@@ -19,7 +24,6 @@ from lusokit.experiments.grid import (
     RunConfig,
     SizeClass,
     build_matrix,
-    expected_run_count,
     load_roster,
     make_run_key,
 )
@@ -34,6 +38,10 @@ from lusokit.experiments.runner import (
 from lusokit.experiments.store import ResultsStore
 from lusokit.faketrainer import scores_for
 from lusokit.variants import Variant
+
+from helpers import oracle_aggregate
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 TRAINER_TEMPLATE = (
     f"{sys.executable} -m lusokit.faketrainer --run-key {{run_key}} "
@@ -59,8 +67,6 @@ class TestGrid:
         assert grid.dropouts == (0.0, 0.1)
         assert grid.bf16_options == (False, True)
         assert grid.seeds == (41, 42, 43)
-        assert grid.combo_count == 12
-        assert grid.runs_per_cell == 36
 
     def test_combos_lr_major_order(self):
         combos = list(HyperGrid().combos())
@@ -116,7 +122,23 @@ class TestMatrix:
 
     def test_expected_count_matches_materialized(self):
         models = [model(), model(name="m2", size=SizeClass.S100M, multi=False)]
-        assert expected_run_count(models) == len(build_matrix(models))
+        cells = aggregate_cells({}, models)
+        assert sum(c.expected_runs for c in cells) == len(build_matrix(models))
+
+    def test_run_keys_and_commands_pinned(self):
+        # existing result stores are keyed by these values: they never change
+        runs = build_matrix(load_roster(REPO_ROOT / "config" / "models.example.yaml"))
+        assert len(runs) == 4104
+
+        def digest(lines):
+            return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+        template = (
+            "trainer --run-key {run_key} --model {model} --task {task} --lr {lr} "
+            "--dropout {dropout} --bf16 {bf16} --seed {seed} --split-seed {split_seed}"
+        )
+        assert digest(make_run_key(r) for r in runs) == "9b09b8bee11bf737"
+        assert digest(" ".join(build_command(template, r)) for r in runs) == "1f6eb6c4621dc101"
 
 
 class TestRoster:
@@ -495,3 +517,44 @@ class TestAggregate:
         tsv = render_cell_tsv(cells)
         assert tsv.splitlines()[0].split("\t")[0] == "model"
         assert len(tsv.splitlines()) == 1 + len(cells)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_oracle(self, data):
+        small = lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True)
+        grid = HyperGrid(
+            learning_rates=tuple(data.draw(small([1e-6, 5e-6, 1e-5, 2e-5, 5e-5]))),
+            dropouts=tuple(data.draw(small([0.0, 0.1, 0.2, 0.3]))),
+            bf16_options=tuple(data.draw(small([False, True]))),
+            seeds=tuple(data.draw(small([7, 41, 42, 43, 1000]))),
+        )
+        variants = st.sampled_from([Variant.PTBR, Variant.PTPT])
+        models = [model("small", data.draw(variants), SizeClass.S100M, multi=False)]
+        for i in range(data.draw(st.integers(0, 2))):
+            size = data.draw(st.sampled_from(list(SizeClass)))
+            multi = size is not SizeClass.S100M and data.draw(st.booleans())
+            models.append(model(f"m{i}", data.draw(variants), size, multi))
+        names = data.draw(st.lists(st.sampled_from(sorted(TASKS)), min_size=1, max_size=4, unique=True))
+        tasks = [TASKS[name] for name in names]
+        split_seed = data.draw(st.sampled_from([13, 14]))
+        rng = data.draw(st.randoms(use_true_random=False))
+
+        # the store's latest-wins view: ties on dev are common, a few runs
+        # are missing or failed, and runs at another split seed must not count
+        records = {}
+        runs = build_matrix(models, tasks=tasks, grid=grid, split_seed=split_seed)
+        for run in runs:
+            record = {"status": "ok", "dev": rng.choice([0.25, 0.5, 0.75]), "test": rng.random()}
+            records[make_run_key(run)] = record
+            other = dataclasses.replace(run, split_seed=split_seed + 100)
+            records[make_run_key(other)] = {"status": "ok", "dev": 1.0, "test": 1.0}
+        for _ in range(data.draw(st.integers(0, 3)) if runs else 0):
+            key = make_run_key(rng.choice(runs))
+            if data.draw(st.booleans()):
+                records.pop(key, None)
+            else:
+                records[key] = {"status": "failed", "dev": None, "test": None}
+
+        assert aggregate_cells(records, models, tasks=tasks, grid=grid, split_seed=split_seed) == (
+            oracle_aggregate(records, models, tasks, grid, split_seed)
+        )
