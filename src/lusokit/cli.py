@@ -145,18 +145,14 @@ def _cmd_split_variant(args: argparse.Namespace) -> int:
 def _cmd_curate(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
-    from lusokit.config import PipelineConfig, load_list
+    from lusokit.config import PipelineConfig
     from lusokit.curation import Blocklist, FilterConfig, curate_stream
 
-    pipeline_cfg = PipelineConfig.load(args.config) if args.config else None
-    filter_cfg = pipeline_cfg.make_filter_config() if pipeline_cfg else FilterConfig.default()
-    block = pipeline_cfg.make_blocklist() if pipeline_cfg else Blocklist()
-    exact, suffix = block.exact_domains, block.suffix_domains
-    if args.blocklist_exact:
-        exact |= load_list(args.blocklist_exact)
-    if args.blocklist_suffix:
-        suffix |= load_list(args.blocklist_suffix)
-    blocklist = Blocklist(exact_domains=exact, suffix_domains=suffix)
+    if args.config:
+        pipeline_cfg = PipelineConfig.load(args.config)
+        filter_cfg, blocklist = pipeline_cfg.make_filter_config(), pipeline_cfg.make_blocklist()
+    else:
+        filter_cfg, blocklist = FilterConfig.default(), Blocklist()
 
     def curate(records):
         rows = []
@@ -423,10 +419,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _selected_tasks(names: Optional[str]):
     if not names:
         return None
-    selected = []
-    for name in names.split(","):
-        selected.append(_require_task(name.strip()))
-    return selected
+    selected = [name.strip() for name in names.split(",")]
+    tasks = [_require_task(name) for name in selected]
+    for name, n in Counter(selected).items():
+        if n > 1:
+            raise ConfigurationError(f"--tasks names {name} {'twice' if n == 2 else f'{n} times'}")
+    return tasks
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -553,9 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curate", parents=[common], help="apply blocklist and quality rules")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--config", default=None, help="pipeline config YAML")
-    p.add_argument("--blocklist-exact", default=None, help="exact-domain file")
-    p.add_argument("--blocklist-suffix", default=None, help="suffix-domain file")
+    p.add_argument("--config", default=None, help="pipeline config YAML (rules and blocklist)")
     p.add_argument("--rejects", default=None, help="write rejected ids and rules here")
     p.set_defaults(func=_cmd_curate)
 

@@ -53,7 +53,6 @@ def load_list(path: str | Path) -> frozenset[str]:
 class PipelineConfig:
     """Validated pipeline settings, sections kept as plain mappings."""
 
-    path: Path
     curation: dict = field(default_factory=dict)
     blocklist: dict = field(default_factory=dict)
 
@@ -101,11 +100,7 @@ class PipelineConfig:
                 else:
                     resolved[key] = value
             sections[name] = resolved
-        return cls(
-            path=path,
-            curation=sections["curation"],
-            blocklist=sections["blocklist"],
-        )
+        return cls(curation=sections["curation"], blocklist=sections["blocklist"])
 
     def make_filter_config(self) -> FilterConfig:
         """Build quality-rule settings, defaults filled from the package."""
@@ -134,14 +129,8 @@ class PipelineConfig:
             raise ConfigurationError(f"bad curation settings: {exc}") from None
 
     def make_blocklist(self) -> Blocklist:
-        exact = (
-            load_list(self.blocklist["exact_file"])
-            if "exact_file" in self.blocklist
-            else frozenset()
-        )
-        suffix = (
-            load_list(self.blocklist["suffix_file"])
-            if "suffix_file" in self.blocklist
-            else frozenset()
+        exact, suffix = (
+            load_list(self.blocklist[key]) if key in self.blocklist else frozenset()
+            for key in ("exact_file", "suffix_file")
         )
         return Blocklist(exact_domains=exact, suffix_domains=suffix)

@@ -3,10 +3,9 @@
 The quality rules are the usual web-crawl heuristics: word-count bounds,
 character/word repetition ratios, special-character ratio, stopword
 ratio and flagged-word ratio. Each rule is individually switchable and
-thresholded through FilterConfig; the keep/reject verdict is the
-conjunction of all enabled rules, so it does not depend on evaluation
-order (only the rejected_by attribution does, which uses the fixed
-order of RULE_NAMES).
+thresholded through FilterConfig. A record is rejected by the first
+enabled rule it violates, in the fixed order of RULE_NAMES, and kept
+when it violates none.
 
 Records from sources that already arrive quality-filtered upstream
 (``QUALITY_EXEMPT_SOURCES``) skip the quality rules in ``curate_stream``
@@ -17,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from lusokit.corpus_io import CorpusRecord, Source
@@ -48,14 +46,6 @@ QUALITY_EXEMPT_SOURCES = frozenset({Source.CULTURAX})
 # The Latin-1 bytes of letters, digits and whitespace: what is left of a
 # Latin-1 encoding once they are deleted is its special characters.
 _PLAIN_LATIN1 = bytes(b for b in range(256) if chr(b).isalnum() or chr(b).isspace())
-
-_RATIO_FIELDS = (
-    "max_char_repetition_ratio",
-    "max_word_repetition_ratio",
-    "max_special_char_ratio",
-    "min_stopword_ratio",
-    "max_flagged_word_ratio",
-)
 
 
 def load_default_stopwords() -> frozenset[str]:
@@ -91,10 +81,10 @@ class FilterConfig:
             raise ConfigurationError(
                 f"min_words ({self.min_words}) exceeds max_words ({self.max_words})"
             )
-        for name in _RATIO_FIELDS:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be within [0, 1], got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_ratio") and not 0.0 <= value <= 1.0:
+                raise ConfigurationError(f"{f.name} must be within [0, 1], got {value}")
         unknown = set(self.enabled_rules) - set(RULE_NAMES)
         if unknown:
             raise ConfigurationError(
@@ -116,9 +106,14 @@ class FilterConfig:
 
 @dataclass(frozen=True, slots=True)
 class FilterDecision:
-    keep: bool
+    """The quality verdict on one record: rejected_by names the rule that
+    rejected it, None when it is kept. measure_rules reports the values."""
+
     rejected_by: str | None
-    measured: dict[str, float]
+
+    @property
+    def keep(self) -> bool:
+        return self.rejected_by is None
 
 
 @dataclass(frozen=True)
@@ -233,20 +228,15 @@ def measure_rules(text: str, cfg: FilterConfig) -> dict[str, float]:
 def apply_filters(record: CorpusRecord, cfg: FilterConfig) -> FilterDecision:
     """Evaluate the enabled quality rules against one record.
 
-    rejected_by names the first enabled rule (in RULE_NAMES order) whose
-    threshold is violated; measured carries all enabled rules' values
-    whether or not the record is kept.
+    The decision names the first enabled rule (in RULE_NAMES order) whose
+    threshold is violated, or no rule when the record is kept.
     """
-    all_measured = measure_rules(record.text, cfg)
-    n_words = all_measured["min_words"]
-    measured = {}
-    rejected_by = None
+    measured = measure_rules(record.text, cfg)
+    n_words = measured["min_words"]
     for name, violated in _RULES:
-        if name in cfg.enabled_rules:
-            value = measured[name] = all_measured[name]
-            if rejected_by is None and violated(value, n_words, cfg):
-                rejected_by = name
-    return FilterDecision(keep=rejected_by is None, rejected_by=rejected_by, measured=measured)
+        if name in cfg.enabled_rules and violated(measured[name], n_words, cfg):
+            return FilterDecision(name)
+    return FilterDecision(None)
 
 
 @dataclass(slots=True)

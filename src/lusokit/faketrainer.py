@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
-import os
 import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
+
+from lusokit import jsonlog
 
 
 def _unit_interval(key: str, salt: str) -> float:
@@ -62,19 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _log_invocation(path: str, run_key: str, argv: Sequence[str]) -> None:
-    line = json.dumps({"run_key": run_key, "argv": list(argv)}, ensure_ascii=False)
-    with open(path, "a", encoding="utf-8") as out:
-        out.write(line + "\n")
-        out.flush()
-        os.fsync(out.fileno())
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     if args.log:
-        _log_invocation(args.log, args.run_key, argv)
+        jsonlog.append(args.log, {"run_key": args.run_key, "argv": argv})
     if args.sleep > 0:
         time.sleep(args.sleep)
     if args.fail_rate > 0:

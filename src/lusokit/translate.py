@@ -24,6 +24,11 @@ if TYPE_CHECKING:
 
 AUTH_KEY_ENV_VAR = "LUSOKIT_MT_AUTH_KEY"
 
+# A batch that fails transiently is sent again up to MAX_RETRIES times,
+# after sleeping BACKOFF_BASE_S * 2**attempt seconds.
+MAX_RETRIES = 4
+BACKOFF_BASE_S = 0.5
+
 
 class TranslationError(Exception):
     """Base for translation failures."""
@@ -54,11 +59,7 @@ class FakeReversingClient:
     end to end without a provider account.
     """
 
-    def __init__(self) -> None:
-        self.calls: list[tuple[tuple[str, ...], str]] = []
-
     def translate_batch(self, texts: Sequence[str], target: str) -> list[str]:
-        self.calls.append((tuple(texts), target))
         return [" ".join(reversed(text.split())) for text in texts]
 
 
@@ -162,60 +163,12 @@ class TranslationOutcome:
     requests_issued: int
 
 
-def _translate_batch_isolating(
-    client: MTClient,
-    batch: list[tuple[int, str]],
-    target: str,
-    max_retries: int,
-    backoff_base: float,
-    sleep: Callable[[float], None],
-    counter: list[int],
-    counter_lock: threading.Lock,
-) -> tuple[dict[int, str], list[tuple[int, str]]]:
-    """Translate one indexed batch, bisecting on permanent failures."""
-    attempt = 0
-    while True:
-        with counter_lock:
-            counter[0] += 1
-        try:
-            results = client.translate_batch([text for _, text in batch], target)
-            if len(results) != len(batch):
-                raise PermanentTranslationError(
-                    f"expected {len(batch)} translations, got {len(results)}"
-                )
-            return {idx: out for (idx, _), out in zip(batch, results)}, []
-        except TransientTranslationError as exc:
-            if attempt >= max_retries:
-                return {}, [
-                    (idx, f"transient failure persisted after {attempt + 1} attempts: {exc}")
-                    for idx, _ in batch
-                ]
-            sleep(backoff_base * (2**attempt))
-            attempt += 1
-        except PermanentTranslationError as exc:
-            if len(batch) == 1:
-                return {}, [(batch[0][0], str(exc))]
-            mid = len(batch) // 2
-            left_ok, left_bad = _translate_batch_isolating(
-                client, batch[:mid], target, max_retries, backoff_base, sleep,
-                counter, counter_lock,
-            )
-            right_ok, right_bad = _translate_batch_isolating(
-                client, batch[mid:], target, max_retries, backoff_base, sleep,
-                counter, counter_lock,
-            )
-            left_ok.update(right_ok)
-            return left_ok, left_bad + right_bad
-
-
 def translate_dataset(
     texts: Sequence[str],
     target: str,
     client: MTClient,
     cache: Optional[TranslationCache] = None,
     batch_size: int = 50,
-    max_retries: int = 4,
-    backoff_base: float = 0.5,
     max_workers: int = 1,
     sleep: Callable[[float], None] = time.sleep,
 ) -> TranslationOutcome:
@@ -223,9 +176,11 @@ def translate_dataset(
 
     Cache hits and empty strings never reach the client. Batches fan
     out across max_workers threads and each batch's translations are
-    cached as it finishes. A single authentication failure aborts the
-    whole run, since no other batch could succeed either: batches not
-    yet started are never sent.
+    cached as it finishes. A transient failure is retried with backoff
+    (MAX_RETRIES, BACKOFF_BASE_S); a permanent one bisects the batch
+    until it isolates the texts that cause it. A single authentication
+    failure aborts the whole run, since no other batch could succeed
+    either: batches not yet started are never sent.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -246,14 +201,40 @@ def translate_dataset(
 
     batches = [pending[i : i + batch_size] for i in range(0, len(pending), batch_size)]
     rejects: list[tuple[int, str]] = []
-    counter = [0]
-    counter_lock = threading.Lock()
+    requests_issued = 0
+    lock = threading.Lock()
+
+    def send(batch: list[tuple[int, str]]) -> tuple[dict[int, str], list[tuple[int, str]]]:
+        """Translate one indexed batch, bisecting on permanent failures."""
+        nonlocal requests_issued
+        attempt = 0
+        while True:
+            with lock:
+                requests_issued += 1
+            try:
+                out = client.translate_batch([text for _, text in batch], target)
+                if len(out) != len(batch):
+                    raise PermanentTranslationError(
+                        f"expected {len(batch)} translations, got {len(out)}"
+                    )
+                return {idx: translation for (idx, _), translation in zip(batch, out)}, []
+            except TransientTranslationError as exc:
+                if attempt >= MAX_RETRIES:
+                    return {}, [
+                        (idx, f"transient failure persisted after {attempt + 1} attempts: {exc}")
+                        for idx, _ in batch
+                    ]
+                sleep(BACKOFF_BASE_S * (2**attempt))
+                attempt += 1
+            except PermanentTranslationError as exc:
+                if len(batch) == 1:
+                    return {}, [(batch[0][0], str(exc))]
+                mid = len(batch) // 2
+                (left, left_bad), (right, right_bad) = send(batch[:mid]), send(batch[mid:])
+                return {**left, **right}, left_bad + right_bad
 
     def run(batch: list[tuple[int, str]]):
-        ok, bad = _translate_batch_isolating(
-            client, batch, target, max_retries, backoff_base, sleep,
-            counter, counter_lock,
-        )
+        ok, bad = send(batch)
         # Cached from the worker as the batch returns, so paid work
         # survives a later batch aborting the run.
         if cache is not None:
@@ -270,5 +251,5 @@ def translate_dataset(
     return TranslationOutcome(
         translations=tuple(results),
         rejects=tuple(rejects),
-        requests_issued=counter[0],
+        requests_issued=requests_issued,
     )

@@ -41,6 +41,14 @@ def corpus_row(i, text, host="jornal.example.br"):
     return {"id": f"r{i}", "url": f"https://{host}/p/{i}", "text": text}
 
 
+def blocklist_config(tmp_path):
+    """A pipeline config whose only setting is an exact blocklist of BLOCK_EXACT_HOST."""
+    (tmp_path / "exact.txt").write_text(BLOCK_EXACT_HOST + "\n", encoding="utf-8")
+    config = tmp_path / "pipeline.yaml"
+    config.write_text("blocklist:\n  exact_file: exact.txt\n", encoding="utf-8")
+    return str(config)
+
+
 TRAINER_TEMPLATE = (
     f"{sys.executable} -m lusokit.faketrainer --run-key {{run_key}} "
     "--model {model} --task {task} --lr {lr} --dropout {dropout} "
@@ -200,13 +208,11 @@ class TestPipelineCommands:
             corpus_row(2, sample_text(2), host=BLOCK_EXACT_HOST),
         ]
         src = jsonl(tmp_path / "in.jsonl", rows)
-        block = tmp_path / "exact.txt"
-        block.write_text(BLOCK_EXACT_HOST + "\n", encoding="utf-8")
         out = tmp_path / "kept.jsonl"
         rejects = tmp_path / "rejects.jsonl"
         code = dispatch(
             ["curate", "--input", src, "--output", str(out),
-             "--blocklist-exact", str(block), "--rejects", str(rejects)]
+             "--config", blocklist_config(tmp_path), "--rejects", str(rejects)]
         )
         assert code == 0
         assert "kept=1 blocklisted=1 rejected=1" in capsys.readouterr().err
@@ -494,12 +500,10 @@ class TestProcessFanOut:
 
     def curate(self, tmp_path, capsys, name):
         src = fan_out_corpus(tmp_path / "in.jsonl")
-        block = tmp_path / "exact.txt"
-        block.write_text(BLOCK_EXACT_HOST + "\n", encoding="utf-8")
         out, rejects = tmp_path / f"{name}.kept", tmp_path / f"{name}.rejects"
         code = dispatch(
             ["curate", "--input", src, "--output", str(out),
-             "--blocklist-exact", str(block), "--rejects", str(rejects)]
+             "--config", blocklist_config(tmp_path), "--rejects", str(rejects)]
         )
         return code, out.read_bytes(), rejects.read_bytes(), capsys.readouterr().err
 
@@ -517,8 +521,7 @@ class TestProcessFanOut:
         """Exit code, stdout and stderr of each corpus command, and every file written."""
         src = boundary_corpus(tmp_path / "raw.jsonl")
         blocks = boundary_blocks(tmp_path / "raw.txt")
-        block = tmp_path / "exact.txt"
-        block.write_text(BLOCK_EXACT_HOST + "\n", encoding="utf-8")
+        config = blocklist_config(tmp_path)
         out = tmp_path / f"{name}.all"
         out.mkdir()
         argvs = [
@@ -528,7 +531,7 @@ class TestProcessFanOut:
             ["split-variant", "--input", src, "--output-ptpt", f"{out}/pt.jsonl",
              "--output-ptbr", f"{out}/br.jsonl", "--output-discard", f"{out}/rest.jsonl"],
             ["curate", "--input", src, "--output", f"{out}/kept.jsonl",
-             "--blocklist-exact", str(block), "--rejects", f"{out}/rejects.jsonl"],
+             "--config", config, "--rejects", f"{out}/rejects.jsonl"],
             ["dedup", "--input", src, "--output", f"{out}/unique.jsonl"],
             ["stats", "--input", src, "--names", "raw"],
             ["pack", "--input", src, "--vocab", VOCAB, "--schedule", "8:10,32:10,256:10",
@@ -894,6 +897,18 @@ class TestExperimentCommands:
         )
         assert code == 1
         assert "failed=36" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("tasks", ["rte,rte", "rte, rte", "wnli,rte,rte,rte"])
+    def test_repeated_task_is_usage_error(self, tmp_path, capsys, command, tasks):
+        argv = [command, "--models", self._roster(tmp_path), "--store",
+                str(tmp_path / "store"), "--tasks", tasks]
+        if command == "run":
+            argv += ["--template", TRAINER_TEMPLATE]
+        assert dispatch(argv) == 2
+        repeats = "twice" if tasks.count("rte") == 2 else "3 times"
+        assert capsys.readouterr().err == f"error: --tasks names rte {repeats}\n"
+        assert not (tmp_path / "store").exists()
 
     def test_bad_template_is_usage_error(self, tmp_path, capsys):
         code = dispatch(

@@ -1,11 +1,18 @@
 """Translation client plumbing: batching, retries, bisection, cache."""
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lusokit.translate import (
+    MAX_RETRIES,
     AuthenticationError,
     FakeReversingClient,
     PermanentTranslationError,
@@ -74,8 +81,7 @@ class TestRetries:
         client = ScriptedClient(transient_failures=2)
         sleeps = []
         outcome = translate_dataset(
-            ["ola"], "PT-PT", client, max_retries=4, backoff_base=0.5,
-            sleep=sleeps.append,
+            ["ola"], "PT-PT", client, sleep=sleeps.append
         )
         assert outcome.translations == ("[PT-PT] ola",)
         assert outcome.requests_issued == 3
@@ -83,12 +89,13 @@ class TestRetries:
 
     def test_transient_exhaustion_rejects_batch(self):
         client = ScriptedClient(transient_failures=99)
-        outcome = translate_dataset(
-            ["a", "b"], "PT-PT", client, max_retries=2, sleep=no_sleep
-        )
+        sleeps = []
+        outcome = translate_dataset(["a", "b"], "PT-PT", client, sleep=sleeps.append)
         assert outcome.translations == (None, None)
         assert [idx for idx, _ in outcome.rejects] == [0, 1]
-        assert outcome.requests_issued == 3  # 1 + 2 retries
+        assert outcome.rejects[0][1].startswith("transient failure persisted after 5 attempts")
+        assert outcome.requests_issued == 1 + MAX_RETRIES == 5
+        assert sleeps == [0.5, 1.0, 2.0, 4.0]
 
 
 class TestBisection:
@@ -197,6 +204,85 @@ class TestCache:
         assert [reopened.get(t, "PT-PT") for t in texts] == [
             "[PT-PT] um", "[PT-PT] dois", "[PT-PT] tres", "[PT-PT] quatro", None, None,
         ]
+
+
+    def test_killed_run_keeps_every_finished_batch(self, tmp_path):
+        # the client hangs in the third of three batches until the run is
+        # SIGKILLed, so nothing after the first two batches gets to run
+        marker = tmp_path / "third-call"
+        code = (
+            "import pathlib, threading\n"
+            "from lusokit.translate import TranslationCache, translate_dataset\n"
+            "class Client:\n"
+            "    calls = 0\n"
+            "    def translate_batch(self, texts, target):\n"
+            "        self.calls += 1\n"
+            "        if self.calls == 3:\n"
+            f"            pathlib.Path({str(marker)!r}).touch()\n"
+            "            threading.Event().wait()\n"
+            "        return [t.upper() for t in texts]\n"
+            "texts = [f'texto {i}' for i in range(9)]\n"
+            f"cache = TranslationCache({str(tmp_path / 'mt')!r})\n"
+            "translate_dataset(texts, 'PT-PT', Client(), cache=cache, batch_size=3)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.Popen([sys.executable, "-c", code], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while not marker.exists():
+                assert child.poll() is None, "the run ended before its third request"
+                assert time.monotonic() < deadline, "the third request never came"
+                time.sleep(0.01)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=10)
+        reopened = TranslationCache(tmp_path / "mt")
+        hits = [reopened.get(f"texto {i}", "PT-PT") for i in range(9)]
+        assert hits == [f"TEXTO {i}" for i in range(6)] + [None] * 3
+
+
+def requests_for(batch, poison):
+    """Requests one batch costs with one worker and no transient failures:
+    one, plus both halves' when it holds poison and more than one text."""
+    if len(batch) > 1 and any(text in poison for text in batch):
+        mid = len(batch) // 2
+        return 1 + requests_for(batch[:mid], poison) + requests_for(batch[mid:], poison)
+    return 1
+
+
+class TestTranslateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(st.one_of(st.just(""), st.text(max_size=4)), max_size=24),
+        data=st.data(),
+        batch_size=st.integers(1, 8),
+        max_workers=st.integers(1, 3),
+    )
+    def test_poison_isolated_and_requests_counted(self, texts, data, batch_size, max_workers):
+        sent = sorted({text for text in texts if text})
+        poison = set(data.draw(st.lists(st.sampled_from(sent), unique=True)) if sent else [])
+        outcomes = []
+        for workers in (1, max_workers):
+            client = ScriptedClient(permanent_texts=poison)
+            outcome = translate_dataset(
+                texts, "PT-PT", client, batch_size=batch_size,
+                max_workers=workers, sleep=no_sleep,
+            )
+            assert outcome.requests_issued == len(client.calls)
+            outcomes.append(outcome)
+        serial, parallel = outcomes
+        assert parallel == serial
+        rejected = [i for i, text in enumerate(texts) if text in poison]
+        assert serial.rejects == tuple(
+            (i, f"cannot translate {texts[i]!r}") for i in rejected
+        )
+        assert serial.translations == tuple(
+            None if text in poison else (f"[PT-PT] {text}" if text else "")
+            for text in texts
+        )
+        pending = [text for text in texts if text]
+        batches = [pending[i : i + batch_size] for i in range(0, len(pending), batch_size)]
+        assert serial.requests_issued == sum(requests_for(b, poison) for b in batches)
 
 
 class TestWorkers:
