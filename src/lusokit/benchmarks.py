@@ -1,9 +1,9 @@
 """Evaluation task registry, example schemas, and deterministic splits.
 
-Each task declares its suite, which language variants it exists for,
-the text fields an example must carry, its label kind, and the metric
-its scores are reported with. Tasks that ship without a public test
-set are split 90/10 into train/dev here, deterministically by seed.
+Each task declares which language variants it exists for, the text
+fields an example must carry, its label kind, and the metric its scores
+are reported with. Tasks that ship without a public test set are split
+90/10 into train/dev here, deterministically by seed.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ from typing import Iterable, Iterator, Sequence
 
 from lusokit.errors import DataError
 from lusokit.variants import Variant
-
-
-class Suite(Enum):
-    ASSIN2 = "assin2"
-    GLUE = "glue"
-    SUPERGLUE = "superglue"
 
 
 class LabelKind(Enum):
@@ -49,7 +43,6 @@ class TaskSpec:
     """Static description of one evaluation task."""
 
     name: str
-    suite: Suite
     variants: frozenset[Variant]
     label_kind: LabelKind
     metric: Metric
@@ -62,7 +55,6 @@ TASKS: dict[str, TaskSpec] = {
     for spec in (
         TaskSpec(
             name="assin2-rte",
-            suite=Suite.ASSIN2,
             variants=frozenset({Variant.PTBR}),
             label_kind=LabelKind.BINARY,
             metric=Metric.ACCURACY,
@@ -70,7 +62,6 @@ TASKS: dict[str, TaskSpec] = {
         ),
         TaskSpec(
             name="assin2-sts",
-            suite=Suite.ASSIN2,
             variants=frozenset({Variant.PTBR}),
             label_kind=LabelKind.REAL_0_5,
             metric=Metric.PEARSON,
@@ -78,7 +69,6 @@ TASKS: dict[str, TaskSpec] = {
         ),
         TaskSpec(
             name="rte",
-            suite=Suite.GLUE,
             variants=BOTH_VARIANTS,
             label_kind=LabelKind.BINARY,
             metric=Metric.ACCURACY,
@@ -86,7 +76,6 @@ TASKS: dict[str, TaskSpec] = {
         ),
         TaskSpec(
             name="wnli",
-            suite=Suite.GLUE,
             variants=BOTH_VARIANTS,
             label_kind=LabelKind.BINARY,
             metric=Metric.ACCURACY,
@@ -94,7 +83,6 @@ TASKS: dict[str, TaskSpec] = {
         ),
         TaskSpec(
             name="mrpc",
-            suite=Suite.GLUE,
             variants=BOTH_VARIANTS,
             label_kind=LabelKind.BINARY,
             metric=Metric.F1_BINARY,
@@ -102,7 +90,6 @@ TASKS: dict[str, TaskSpec] = {
         ),
         TaskSpec(
             name="stsb",
-            suite=Suite.GLUE,
             variants=BOTH_VARIANTS,
             label_kind=LabelKind.REAL_0_5,
             metric=Metric.PEARSON,
@@ -110,7 +97,6 @@ TASKS: dict[str, TaskSpec] = {
         ),
         TaskSpec(
             name="copa",
-            suite=Suite.SUPERGLUE,
             variants=BOTH_VARIANTS,
             label_kind=LabelKind.CHOICE_OF_TWO,
             metric=Metric.ACCURACY,
@@ -119,7 +105,6 @@ TASKS: dict[str, TaskSpec] = {
         ),
         TaskSpec(
             name="cb",
-            suite=Suite.SUPERGLUE,
             variants=BOTH_VARIANTS,
             label_kind=LabelKind.THREE_CLASS,
             metric=Metric.F1_MACRO,
@@ -127,7 +112,6 @@ TASKS: dict[str, TaskSpec] = {
         ),
         TaskSpec(
             name="multirc",
-            suite=Suite.SUPERGLUE,
             variants=BOTH_VARIANTS,
             label_kind=LabelKind.BINARY,
             metric=Metric.F1_BINARY,
@@ -135,7 +119,6 @@ TASKS: dict[str, TaskSpec] = {
         ),
         TaskSpec(
             name="boolq",
-            suite=Suite.SUPERGLUE,
             variants=BOTH_VARIANTS,
             label_kind=LabelKind.BINARY,
             metric=Metric.ACCURACY,
@@ -264,10 +247,6 @@ def write_task_examples(path: str | Path, examples: Iterable[TaskExample]) -> in
             out.write(json.dumps(obj, ensure_ascii=False) + "\n")
             count += 1
     return count
-
-
-def validate_task_file(path: str | Path, spec: TaskSpec) -> tuple[int, list[Violation]]:
-    return validate_examples(read_task_examples(path), spec)
 
 
 @dataclass(frozen=True)

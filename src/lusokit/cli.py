@@ -40,9 +40,6 @@ from lusokit.errors import ConfigurationError, DataError
 
 log = logging.getLogger("lusokit")
 
-_FORMAT_ALIASES = {"jsonl": FORMAT_LINE_DELIMITED, "blocks": FORMAT_PLAIN_TEXT_BLOCKS}
-
-
 # Input units (lines, or blocks for --format blocks) per chunk a worker
 # process handles: each chunk costs a round trip to a worker, each unit
 # in flight costs memory (at most two chunks per worker are).
@@ -112,7 +109,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         args.input,
         lambda records: ([_jsonl(records)], len(records)),
         [args.output],
-        _FORMAT_ALIASES[args.format],
+        args.format,
         parse_source(args.source),
     )
     print(
@@ -356,6 +353,9 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         translate_dataset,
     )
 
+    for flag, value in (("--batch-size", args.batch_size), ("--max-workers", args.max_workers)):
+        if value < 1:
+            raise ConfigurationError(f"{flag} must be positive, got {value}")
     materialized = list(read_records(args.input)[0])
     texts = [record.text for record in materialized]
     if args.fake:
@@ -387,10 +387,10 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from lusokit.benchmarks import validate_task_file
+    from lusokit.benchmarks import read_task_examples, validate_examples
 
     spec = _require_task(args.task)
-    valid, violations = validate_task_file(args.input, spec)
+    valid, violations = validate_examples(read_task_examples(args.input), spec)
     for v in violations:
         print(f"{v.example_id}\t{v.field}\t{v.message}")
     print(f"valid={valid} violations={len(violations)}", file=sys.stderr)
@@ -535,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", parents=[common], help="normalize raw corpus files")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=sorted(_FORMAT_ALIASES), default="jsonl")
+    formats = sorted([FORMAT_LINE_DELIMITED, FORMAT_PLAIN_TEXT_BLOCKS])
+    p.add_argument("--format", choices=formats, default=FORMAT_LINE_DELIMITED)
     p.add_argument("--source", default=None, help="source label for records without one")
     p.set_defaults(func=_cmd_ingest)
 

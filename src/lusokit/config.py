@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
 
 import yaml
 
-from lusokit.curation import RULE_NAMES, Blocklist, FilterConfig, load_default_stopwords
+from lusokit.curation import Blocklist, FilterConfig, load_default_stopwords
 from lusokit.errors import ConfigurationError
 
 _TOP_KEYS = {"curation", "blocklist"}
@@ -115,18 +114,7 @@ class PipelineConfig:
             if "flagged_words_file" in section
             else frozenset()
         )
-        enabled = section.pop("enabled_rules", None)
-        kwargs: dict[str, Any] = dict(section)
-        kwargs["stopword_list"] = stopwords
-        kwargs["flagged_word_list"] = flagged
-        if enabled is not None:
-            if not isinstance(enabled, list):
-                raise ConfigurationError("curation.enabled_rules must be a list")
-            kwargs["enabled_rules"] = frozenset(str(r) for r in enabled)
-        try:
-            return FilterConfig(**kwargs)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad curation settings: {exc}") from None
+        return FilterConfig(**section, stopword_list=stopwords, flagged_word_list=flagged)
 
     def make_blocklist(self) -> Blocklist:
         exact, suffix = (

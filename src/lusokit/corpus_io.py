@@ -27,8 +27,8 @@ from typing import BinaryIO, Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
-FORMAT_LINE_DELIMITED = "line_delimited"
-FORMAT_PLAIN_TEXT_BLOCKS = "plain_text_blocks"
+FORMAT_LINE_DELIMITED = "jsonl"
+FORMAT_PLAIN_TEXT_BLOCKS = "blocks"
 
 
 class Source(Enum):

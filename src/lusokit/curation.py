@@ -2,10 +2,9 @@
 
 The quality rules are the usual web-crawl heuristics: word-count bounds,
 character/word repetition ratios, special-character ratio, stopword
-ratio and flagged-word ratio. Each rule is individually switchable and
-thresholded through FilterConfig. A record is rejected by the first
-enabled rule it violates, in the fixed order of RULE_NAMES, and kept
-when it violates none.
+ratio and flagged-word ratio, each thresholded through FilterConfig. A
+record is rejected by the first rule it violates, in the fixed order of
+RULE_NAMES, and kept when it violates none.
 
 Records from sources that already arrive quality-filtered upstream
 (``QUALITY_EXEMPT_SOURCES``) skip the quality rules in ``curate_stream``
@@ -61,7 +60,10 @@ class FilterConfig:
     Defaults are deliberately permissive desk defaults; deployments
     override them from a config file. The stopword rule only applies to
     records with at least ``stopword_min_words`` words, since the ratio
-    is meaningless on very short texts.
+    is meaningless on very short texts. A rule is switched off by a
+    threshold no record can violate: ``min_words`` or
+    ``min_stopword_ratio`` 0, a ``max_*_ratio`` of 1, or a ``max_words``
+    above every document.
     """
 
     min_words: int = 5
@@ -74,21 +76,20 @@ class FilterConfig:
     stopword_list: frozenset[str] = frozenset()
     flagged_word_list: frozenset[str] = frozenset()
     max_flagged_word_ratio: float = 0.01
-    enabled_rules: frozenset[str] = frozenset(RULE_NAMES)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a YAML boolean is an int to Python, and would pass as 0 or 1
+            if f.type in ("int", "float") and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+            if f.name.endswith("_ratio") and not 0.0 <= value <= 1.0:
+                raise ConfigurationError(f"{f.name} must be within [0, 1], got {value}")
         if self.min_words > self.max_words:
             raise ConfigurationError(
                 f"min_words ({self.min_words}) exceeds max_words ({self.max_words})"
-            )
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith("_ratio") and not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{f.name} must be within [0, 1], got {value}")
-        unknown = set(self.enabled_rules) - set(RULE_NAMES)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown filter rule(s): {sorted(unknown)}; valid rules: {list(RULE_NAMES)}"
             )
         # measure_rules looks up lowercased words, so an entry with a
         # capital letter could never match
@@ -226,15 +227,15 @@ def measure_rules(text: str, cfg: FilterConfig) -> dict[str, float]:
 
 
 def apply_filters(record: CorpusRecord, cfg: FilterConfig) -> FilterDecision:
-    """Evaluate the enabled quality rules against one record.
+    """Evaluate the quality rules against one record.
 
-    The decision names the first enabled rule (in RULE_NAMES order) whose
+    The decision names the first rule (in RULE_NAMES order) whose
     threshold is violated, or no rule when the record is kept.
     """
     measured = measure_rules(record.text, cfg)
     n_words = measured["min_words"]
     for name, violated in _RULES:
-        if name in cfg.enabled_rules and violated(measured[name], n_words, cfg):
+        if violated(measured[name], n_words, cfg):
             return FilterDecision(name)
     return FilterDecision(None)
 

@@ -66,13 +66,9 @@ def validate_template(template: str) -> None:
         )
 
 
-def command_fields(cfg: RunConfig) -> dict[str, str]:
-    return {**cfg.key_fields(), "run_key": make_run_key(cfg)}
-
-
 def build_command(template: str, cfg: RunConfig) -> list[str]:
     """Split template into tokens, then substitute fields per token."""
-    fields = command_fields(cfg)
+    fields = {**cfg.key_fields(), "run_key": make_run_key(cfg)}
     return [token.format(**fields) for token in shlex.split(template)]
 
 

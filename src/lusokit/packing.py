@@ -300,15 +300,6 @@ class TruncationSchedule:
     def total_steps(self) -> int:
         return sum(steps for _, steps in self.stages)
 
-    def boundaries(self) -> list[int]:
-        """Cumulative end step (exclusive) of each stage."""
-        ends = []
-        total = 0
-        for _, steps in self.stages:
-            total += steps
-            ends.append(total)
-        return ends
-
 
 def stage_for_step(schedule: TruncationSchedule, step: int) -> int:
     """Stage cap in effect at a zero-based step under cumulative budgets."""

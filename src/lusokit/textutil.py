@@ -1,17 +1,14 @@
 """Shared text measurement and rendering helpers.
 
 A "word" throughout the toolkit is a maximal run of non-whitespace
-Unicode characters; every module that counts words goes through these
-helpers so counts agree everywhere.
+Unicode characters, as ``str.split()`` returns them: ``stats`` counts
+words with ``word_count``, and the quality rules and the tokenizer call
+``str.split()`` themselves.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-
-def words(text: str) -> list[str]:
-    return text.split()
 
 
 def word_count(text: str) -> int:

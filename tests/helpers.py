@@ -66,7 +66,7 @@ def oracle_first_violation(text: str, cfg: FilterConfig) -> str | None:
         "flagged_word": m["flagged_word"] > cfg.max_flagged_word_ratio,
     }
     for rule in RULE_NAMES:
-        if rule in cfg.enabled_rules and checks[rule]:
+        if checks[rule]:
             return rule
     return None
 

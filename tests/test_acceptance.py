@@ -191,9 +191,23 @@ def _random_filter_text(rng):
     return " ".join(words)
 
 
+# Each rule's threshold field and a value at which it can never fire
+# (the random texts have fewer than 50 words).
+_OFF_VALUES = {
+    "min_words": ("min_words", 0),
+    "max_words": ("max_words", 1_000),
+    "char_repetition": ("max_char_repetition_ratio", 1.0),
+    "word_repetition": ("max_word_repetition_ratio", 1.0),
+    "special_char": ("max_special_char_ratio", 1.0),
+    "stopword": ("min_stopword_ratio", 0.0),
+    "flagged_word": ("max_flagged_word_ratio", 1.0),
+}
+
+
 def _random_filter_config(rng, stopwords):
+    """Random thresholds, with a random subset of the rules switched off."""
     min_words = rng.randrange(0, 9)
-    return FilterConfig(
+    thresholds = dict(
         min_words=min_words,
         max_words=rng.randrange(max(min_words, 10), 80),
         max_char_repetition_ratio=rng.random(),
@@ -201,17 +215,18 @@ def _random_filter_config(rng, stopwords):
         max_special_char_ratio=rng.random(),
         min_stopword_ratio=rng.random() * 0.5,
         stopword_min_words=rng.randrange(0, 30),
-        stopword_list=stopwords,
-        flagged_word_list=frozenset({FLAGGED_WORD}),
         max_flagged_word_ratio=rng.random() * 0.2,
-        enabled_rules=frozenset(
-            rng.sample(RULE_NAMES, rng.randrange(1, len(RULE_NAMES) + 1))
-        ),
+    )
+    enabled = rng.sample(RULE_NAMES, rng.randrange(1, len(RULE_NAMES) + 1))
+    for rule in set(RULE_NAMES) - set(enabled):
+        name, off = _OFF_VALUES[rule]
+        thresholds[name] = off
+    return FilterConfig(
+        **thresholds, stopword_list=stopwords, flagged_word_list=frozenset({FLAGGED_WORD})
     )
 
 
 def _stricter_variant(cfg, rng):
-    extra = frozenset(rng.sample(RULE_NAMES, rng.randrange(0, len(RULE_NAMES) + 1)))
     min_words = cfg.min_words + rng.randrange(0, 3)
     return FilterConfig(
         min_words=min_words,
@@ -224,7 +239,6 @@ def _stricter_variant(cfg, rng):
         stopword_list=cfg.stopword_list,
         flagged_word_list=cfg.flagged_word_list,
         max_flagged_word_ratio=cfg.max_flagged_word_ratio * rng.random(),
-        enabled_rules=cfg.enabled_rules | extra,
     )
 
 

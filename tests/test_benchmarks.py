@@ -8,7 +8,6 @@ from lusokit.benchmarks import (
     TASKS,
     LabelKind,
     Metric,
-    Suite,
     TaskExample,
     read_task_examples,
     split_90_10,
@@ -50,11 +49,6 @@ class TestRegistry:
     def test_only_copa_requires_multichoice(self):
         assert [name for name, s in TASKS.items() if s.requires_multichoice] == ["copa"]
         assert TASKS["copa"].label_kind is LabelKind.CHOICE_OF_TWO
-
-    def test_suites(self):
-        assert TASKS["cb"].suite is Suite.SUPERGLUE
-        assert TASKS["mrpc"].suite is Suite.GLUE
-        assert TASKS["assin2-rte"].suite is Suite.ASSIN2
 
     def test_sts_tasks_are_real_valued(self):
         assert TASKS["stsb"].label_kind is LabelKind.REAL_0_5

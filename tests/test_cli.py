@@ -221,6 +221,22 @@ class TestPipelineCommands:
         quality_row = next(r for r in reject_rows if r["stage"] == "quality")
         assert quality_row["rule"] == "min_words"
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_special_char_ratio", "yes"),
+        ("min_words", '"5"'),
+        ("enabled_rules", "[min_words]"),
+    ])
+    def test_curate_bad_config_is_usage_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "pipeline.yaml"
+        config.write_text(f"curation:\n  {key}: {value}\n", encoding="utf-8")
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, sample_text(0))])
+        out = tmp_path / "kept.jsonl"
+        code = dispatch(["curate", "--input", src, "--output", str(out), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
     def test_dedup(self, tmp_path, capsys):
         rows = [corpus_row(0, "um texto qualquer aqui"),
                 corpus_row(1, "um  texto qualquer aqui"),
@@ -810,6 +826,18 @@ class TestTranslateCommand:
             '{"id": "a", "url": "https://x.pt/1", "source": "DCEP", "text": "dois \u00e9 um"}\n'
             '{"id": "b", "source": "Other", "text": "url sem"}\n'
         )
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--max-workers"])
+    def test_non_positive_flag_fails_before_any_work(self, tmp_path, capsys, flag):
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "ola")])
+        out, cache = tmp_path / "out.jsonl", tmp_path / "cache"
+        code = dispatch(
+            ["translate", "--input", src, "--output", str(out), "--target", "PT-PT",
+             "--fake", "--cache-dir", str(cache), flag, "0"]
+        )
+        assert code == 2
+        assert f"error: {flag} must be positive, got 0" in capsys.readouterr().err
+        assert not out.exists() and not cache.exists()
 
     def test_endpoint_required_without_fake(self, tmp_path):
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "ola")])

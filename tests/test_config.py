@@ -96,14 +96,12 @@ class TestFactories:
             "curation:\n"
             "  min_words: 3\n"
             "  max_words: 50\n"
-            "  flagged_words_file: flagged.txt\n"
-            "  enabled_rules: [min_words, max_words, flagged_word]\n",
+            "  flagged_words_file: flagged.txt\n",
         )
         fcfg = PipelineConfig.load(path).make_filter_config()
         assert fcfg.min_words == 3
         assert fcfg.max_words == 50
         assert fcfg.flagged_word_list == frozenset({"zzz"})
-        assert fcfg.enabled_rules == frozenset({"min_words", "max_words", "flagged_word"})
         # stopwords fall back to the bundled list
         assert "de" in fcfg.stopword_list
 
@@ -136,6 +134,22 @@ class TestFactories:
         with pytest.raises(ConfigurationError):
             PipelineConfig.load(path).make_filter_config()
 
+    @pytest.mark.parametrize("name", ["min_words", "max_special_char_ratio"])
+    @pytest.mark.parametrize("value", ["yes", "true", '"5"'])
+    def test_boolean_or_string_threshold_rejected(self, tmp_path, name, value):
+        # YAML reads yes and true as booleans, which Python would compare as 1
+        path = write_config(tmp_path, f"curation:\n  {name}: {value}\n")
+        with pytest.raises(ConfigurationError) as exc:
+            PipelineConfig.load(path).make_filter_config()
+        assert name in str(exc.value)
+
+    def test_rule_list_key_rejected(self, tmp_path):
+        # a rule is switched off by its threshold, not by a list of rules
+        path = write_config(tmp_path, "curation:\n  enabled_rules: [min_words]\n")
+        with pytest.raises(ConfigurationError) as exc:
+            PipelineConfig.load(path)
+        assert "unknown keys: ['enabled_rules']" in str(exc.value)
+
     def test_blocklist_from_files(self, tmp_path):
         (tmp_path / "exact.txt").write_text("Bloqueado.PT\n", encoding="utf-8")
         (tmp_path / "suffix.txt").write_text("anuncios.pt\n", encoding="utf-8")
@@ -157,3 +171,11 @@ class TestBundledExample:
         fcfg = cfg.make_filter_config()
         assert fcfg.min_words >= 1
         cfg.make_blocklist()
+        # the example documents the defaults: every threshold it sets is one
+        thresholds = [f.name for f in fields(FilterConfig) if f.type in ("int", "float")]
+        assert len(thresholds) == 8
+        assert set(thresholds) <= set(cfg.curation)
+        default = FilterConfig()
+        assert {n: getattr(fcfg, n) for n in thresholds} == {
+            n: getattr(default, n) for n in thresholds
+        }

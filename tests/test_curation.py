@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from helpers import oracle_first_violation, oracle_measurements
 from lusokit.corpus_io import CorpusRecord, Source
 from lusokit.curation import (
-    RULE_NAMES,
     Blocklist,
     FilterConfig,
     apply_blocklist,
@@ -86,10 +85,7 @@ class TestRules:
         assert decision.rejected_by == "min_words"
 
     def test_disabled_rule_does_not_fire(self):
-        cfg = FilterConfig(
-            stopword_list=BASE.stopword_list,
-            enabled_rules=frozenset(RULE_NAMES) - {"min_words"},
-        )
+        cfg = FilterConfig(stopword_list=BASE.stopword_list, min_words=0)
         decision = apply_filters(rec("duas palavras"), cfg)
         assert decision.keep
 
@@ -105,8 +101,6 @@ class TestRules:
             FilterConfig(min_words=10, max_words=5)
         with pytest.raises(ConfigurationError):
             FilterConfig(max_special_char_ratio=1.5)
-        with pytest.raises(ConfigurationError):
-            FilterConfig(enabled_rules=frozenset({"regra_inexistente"}))
 
     @pytest.mark.parametrize("name", ["stopword_list", "flagged_word_list"])
     def test_word_lists_must_be_lowercase(self, name):

@@ -8,13 +8,16 @@ import threading
 import time
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lusokit.translate import (
+    AUTH_KEY_ENV_VAR,
     MAX_RETRIES,
     AuthenticationError,
     FakeReversingClient,
+    HttpMTClient,
     PermanentTranslationError,
     TransientTranslationError,
     TranslationCache,
@@ -144,6 +147,89 @@ class TestAuth:
             translate_dataset(texts, "PT-PT", client, batch_size=2,
                               max_workers=max_workers, sleep=no_sleep)
         assert len(client.calls) <= 2 + max_workers
+
+
+class StubResponse:
+    def __init__(self, status_code, body=None):
+        self.status_code = status_code
+        self.body = body
+        self.text = "" if body is None else str(body)
+
+    def json(self):
+        if self.body is None:
+            raise ValueError("no JSON body")
+        return self.body
+
+
+class StubSession:
+    """Stands in for requests.Session: answers every post with one response
+    (or raises one error) and records the posts."""
+
+    def __init__(self, response=None, error=None):
+        self.response = response
+        self.error = error
+        self.posts = []
+
+    def post(self, url, json, headers, timeout):
+        self.posts.append((url, json, headers, timeout))
+        if self.error is not None:
+            raise self.error
+        return self.response
+
+
+def http_client(session):
+    return HttpMTClient("https://mt.example/v1", auth_key="chave", session=session)
+
+
+class TestHttpClient:
+    def test_ok_returns_translations(self):
+        session = StubSession(StubResponse(200, {"translations": ["um", "dois"]}))
+        assert http_client(session).translate_batch(["one", "two"], "PT-PT") == ["um", "dois"]
+        url, payload, headers, _timeout = session.posts[0]
+        assert url == "https://mt.example/v1"
+        assert payload == {"texts": ["one", "two"], "target": "PT-PT"}
+        assert headers == {"Authorization": "Bearer chave"}
+
+    @pytest.mark.parametrize("status, error", [
+        (401, AuthenticationError),
+        (403, AuthenticationError),
+        (429, TransientTranslationError),
+        (500, TransientTranslationError),
+        (503, TransientTranslationError),
+        (400, PermanentTranslationError),
+        (404, PermanentTranslationError),
+    ])
+    def test_status_mapping(self, status, error):
+        client = http_client(StubSession(StubResponse(status, {"translations": ["um"]})))
+        with pytest.raises(error):
+            client.translate_batch(["one"], "PT-PT")
+
+    def test_connection_error_is_transient(self):
+        client = http_client(StubSession(error=requests.ConnectionError("refused")))
+        with pytest.raises(TransientTranslationError):
+            client.translate_batch(["one"], "PT-PT")
+
+    @pytest.mark.parametrize("body", [
+        None,  # not JSON
+        {"result": ["um"]},
+        {"translations": ["um", "dois"]},  # two for one text
+        {"translations": "um"},
+    ])
+    def test_malformed_body_is_permanent(self, body):
+        client = http_client(StubSession(StubResponse(200, body)))
+        with pytest.raises(PermanentTranslationError):
+            client.translate_batch(["one"], "PT-PT")
+
+    def test_missing_key_is_authentication_error(self, monkeypatch):
+        monkeypatch.delenv(AUTH_KEY_ENV_VAR, raising=False)
+        with pytest.raises(AuthenticationError):
+            HttpMTClient("https://mt.example/v1", session=StubSession())
+
+    def test_key_from_environment(self, monkeypatch):
+        monkeypatch.setenv(AUTH_KEY_ENV_VAR, "da-env")
+        session = StubSession(StubResponse(200, {"translations": ["um"]}))
+        HttpMTClient("https://mt.example/v1", session=session).translate_batch(["one"], "PT-PT")
+        assert session.posts[0][2] == {"Authorization": "Bearer da-env"}
 
 
 class TestCache:
