@@ -13,9 +13,10 @@ import argparse
 import json
 import logging
 import os
+import stat
 import sys
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from functools import reduce
 from itertools import count, islice
 from pathlib import Path
@@ -40,9 +41,9 @@ from lusokit.errors import ConfigurationError, DataError
 
 log = logging.getLogger("lusokit")
 
-# Input units (lines, or blocks for --format blocks) per chunk a worker
-# process handles: each chunk costs a round trip to a worker, each unit
-# in flight costs memory (at most two chunks per worker are).
+# Input units (lines, or blocks for --format blocks) per chunk: a worker
+# process reads and parses one chunk at a time, and each chunk's result
+# is one message back to the command's process.
 CHUNK_RECORDS = 256
 
 
@@ -60,11 +61,14 @@ def _map_corpus(
 ) -> tuple[Iterator, IngestReport]:
     """(values, report) of work over the records of the corpus at path.
 
-    ``process_map``'s workers parse chunks of CHUNK_RECORDS raw units
-    (``read_units``, ``parse_units``) and return work(records): UTF-8 bytes
-    per output path and a value, or what parent turns into that pair here.
-    The bytes are written in input order (a None path's to devnull);
-    report sums the ingest counts once the values are exhausted. An output
+    ``process_map``'s workers each reopen the input, split it into chunks
+    of CHUNK_RECORDS raw units (``read_units``), and parse their own chunks
+    (``parse_units``) into work(records): UTF-8 bytes per output path and a
+    value, or what parent turns into that pair here. Only that result
+    crosses back; this process writes the bytes in input order (a None
+    path's to devnull), and report sums the ingest counts once the values
+    are exhausted. An input that is not a regular file (a FIFO, /dev/stdin)
+    cannot be reread by each worker, so it runs in this process. An output
     that is the input or another output is refused before any is opened.
     """
     from lusokit.fanout import process_map
@@ -75,10 +79,21 @@ def _map_corpus(
             if _same_file(out, other):
                 raise ConfigurationError(f"output {out} is the same file as {other}")
     handle = open(path, "rb")  # an unreadable input fails here, before any output exists
-    units = read_units(handle, format)
-    chunks = iter(lambda: list(islice(units, CHUNK_RECORDS)), [])
-    starts = count(0, CHUNK_RECORDS)  # every chunk but the last is full
+    rereadable = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
     report = IngestReport()
+
+    def chunks():
+        """(start, units) per chunk: the first call reads the handle opened
+        above, and each later one (a worker's) reopens the path."""
+        nonlocal handle
+        file, handle = handle or open(path, "rb"), None
+        with file:
+            units = read_units(file, format)
+            for start in count(0, CHUNK_RECORDS):  # every chunk but the last is full
+                raw = list(islice(units, CHUNK_RECORDS))
+                if not raw:
+                    return
+                yield start, raw
 
     def run(chunk):
         start, raw = chunk
@@ -86,9 +101,10 @@ def _map_corpus(
         return work(list(records)), counts
 
     def values():
-        with handle, ExitStack() as stack:
+        with ExitStack() as stack:
             files = [stack.enter_context(open(out or os.devnull, "wb")) for out in outputs]
-            for result, counts in process_map(run, zip(starts, chunks)):
+            results = process_map(run, chunks) if rereadable else (run(c) for c in chunks())
+            for result, counts in stack.enter_context(closing(results)):
                 texts, value = parent(result) if parent else result
                 for file, text in zip(files, texts):
                     file.write(text)

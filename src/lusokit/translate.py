@@ -119,7 +119,12 @@ class HttpMTClient:
                 f"expected {len(texts)} translations, got "
                 f"{len(translations) if isinstance(translations, list) else 'non-list'}"
             )
-        return [str(t) for t in translations]
+        for i, translation in enumerate(translations):
+            if not isinstance(translation, str):
+                raise PermanentTranslationError(
+                    f"translation {i} is {type(translation).__name__}, not text"
+                )
+        return translations
 
 
 class TranslationCache:

@@ -176,6 +176,19 @@ def test_one_chunk_corpus_command_loads_no_pool(tmp_path):
     assert run_python(code) == "0 []"
 
 
+def test_forking_corpus_command_loads_no_pool(tmp_path):
+    # workers are forked and fed by pipes, without multiprocessing's or the
+    # process pool's modules
+    src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(10)])
+    argv = ["dedup", "--input", src, "--output", str(tmp_path / "out.jsonl")]
+    code = ("import os, sys; from lusokit import cli, fanout\n"
+            "cli.CHUNK_RECORDS = 3; fanout.cpu_count = lambda: 2\n"
+            "forks = []; os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
+            f"code = cli.dispatch({argv!r})\n"
+            "print(code, len(forks), sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    assert run_python(code) == "0 2 []"
+
+
 class TestPipelineCommands:
     def test_ingest_reports_and_writes(self, tmp_path, capsys):
         src = jsonl(tmp_path / "raw.jsonl", [corpus_row(i, sample_text(i)) for i in range(4)])
@@ -613,6 +626,32 @@ class TestProcessFanOut:
         assert dispatch(["dedup", "--input", str(src), "--output", str(out)]) == 0
         assert capsys.readouterr().err == "kept=1 duplicates=1\n"
         assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["a"]
+
+    def test_input_that_is_not_a_regular_file_starts_no_worker(self, tmp_path, capsys, monkeypatch, forks):
+        # each worker rereads its input, which a FIFO cannot give twice
+        from lusokit import cli, fanout
+
+        monkeypatch.setattr(fanout, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", 3)
+        src = boundary_corpus(tmp_path / "raw.jsonl")
+        assert dispatch(["dedup", "--input", src, "--output", str(tmp_path / "file.out")]) == 0
+        from_file = capsys.readouterr().err
+        assert len(forks) == 2
+        forks.clear()
+
+        fifo = tmp_path / "raw.fifo"
+        os.mkfifo(fifo)
+        # a process, not a thread, fills it: a thread would itself keep the command in-process
+        writer = subprocess.Popen(["sh", "-c", 'exec cat "$1" > "$2"', "sh", src, str(fifo)])
+        try:
+            assert dispatch(["dedup", "--input", str(fifo), "--output", str(tmp_path / "fifo.out")]) == 0
+            assert writer.wait(timeout=30) == 0
+        finally:
+            writer.kill()  # a no-op once it has exited
+            writer.wait()
+        assert forks == []
+        assert capsys.readouterr().err == from_file
+        assert (tmp_path / "fifo.out").read_bytes() == (tmp_path / "file.out").read_bytes()
 
     def test_one_chunk_starts_no_worker(self, tmp_path, capsys, monkeypatch):
         from lusokit import fanout

@@ -212,7 +212,7 @@ class TestRoundTrip:
         assert back == records
 
     def test_pickle_round_trip(self):
-        # how records reach curate's worker processes
+        # default dataclass pickling, at every protocol, a lone surrogate included
         records = [
             CorpusRecord(id="a", text="ola mundo", url="https://x.pt/1", source=Source.OSCAR),
             CorpusRecord(id="b", text="sem url \ud800"),

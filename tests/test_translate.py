@@ -231,6 +231,24 @@ class TestHttpClient:
         HttpMTClient("https://mt.example/v1", session=session).translate_batch(["one"], "PT-PT")
         assert session.posts[0][2] == {"Authorization": "Bearer da-env"}
 
+    @pytest.mark.parametrize("answer", [None, 5, {"t": 1}, ["um"]])
+    def test_non_text_translation_is_rejected_alone(self, answer):
+        class PerTextSession(StubSession):
+            # answers `answer` for the text "veneno", a translation for the others
+            def post(self, url, json, headers, timeout):
+                self.posts.append(json["texts"])
+                translations = [answer if t == "veneno" else f"<{t}>" for t in json["texts"]]
+                return StubResponse(200, {"translations": translations})
+
+        client = http_client(PerTextSession())
+        with pytest.raises(PermanentTranslationError, match="translation 1 is"):
+            client.translate_batch(["um", "veneno"], "PT-PT")
+        texts = ["um", "dois", "veneno", "tres"]
+        outcome = translate_dataset(texts, "PT-PT", client, batch_size=4, sleep=no_sleep)
+        assert outcome.translations == ("<um>", "<dois>", None, "<tres>")
+        assert [idx for idx, _ in outcome.rejects] == [2]
+        assert "translation 0 is" in outcome.rejects[0][1]
+
 
 class TestCache:
     def test_cache_hit_avoids_request(self, tmp_path):
