@@ -3,8 +3,8 @@
 One executable, one subcommand per pipeline step. Exit codes: 0 on
 success (including runs whose whole point is reporting rejections),
 1 when input data violates a contract, 2 for configuration and usage
-errors. Diagnostics go to stderr; data goes to stdout or the file the
-user named.
+errors, 3 when a worker process dies. Diagnostics go to stderr; data
+goes to stdout or the file the user named.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from lusokit.corpus_io import (
     read_units,
     record_to_json,
 )
-from lusokit.errors import ConfigurationError, DataError
+from lusokit.errors import ConfigurationError, DataError, WorkerDied
 
 # Each command imports the rest of what it uses, so no command pays at
 # start-up for another's modules (yaml, requests, the experiment and
@@ -189,23 +189,19 @@ def _cmd_curate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dedup(args: argparse.Namespace) -> int:
-    from lusokit.curation import text_digest
+    from lusokit.curation import DedupStats, first_wins, text_digest
 
-    seen: set[bytes] = set()
-
-    def first_wins(pairs):
-        lines = []
-        for digest, line in pairs:
-            if digest not in seen:
-                seen.add(digest)
-                lines.append(line)
-        return [b"".join(lines)], Counter(kept=len(lines), duplicates=len(pairs) - len(lines))
-
-    def digests(records):
-        return [(text_digest(r.text), _jsonl([r])) for r in records]
-
-    counts = sum(_map_corpus(args.input, digests, [args.output], parent=first_wins)[0], Counter())
-    print(f"kept={counts['kept']} duplicates={counts['duplicates']}", file=sys.stderr)
+    seen: set[bytes] = set()  # across chunks, in this process
+    stats = DedupStats()
+    values, _ = _map_corpus(
+        args.input,
+        lambda records: [(text_digest(r.text), _jsonl([r])) for r in records],
+        [args.output],
+        parent=lambda pairs: ([b"".join(first_wins(pairs, seen, stats))], None),
+    )
+    for _ in values:  # each chunk's kept lines are written as it is read
+        pass
+    print(f"kept={stats.kept} duplicates={stats.duplicates}", file=sys.stderr)
     return 0
 
 
@@ -668,6 +664,9 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigurationError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DataError) else 2
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

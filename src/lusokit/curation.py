@@ -14,7 +14,6 @@ while the blocklist still applies.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Iterable, Iterator
@@ -23,8 +22,6 @@ from lusokit.corpus_io import CorpusRecord, Source
 from lusokit.errors import ConfigurationError
 from lusokit.textutil import normalize_whitespace
 from lusokit.urls import hostname_of
-
-log = logging.getLogger(__name__)
 
 # The quality rules in rejected_by attribution order: (rule name,
 # violation test of (measured value, word count, config)).
@@ -251,27 +248,23 @@ def text_digest(text: str) -> bytes:
     return hashlib.blake2b(normalize_whitespace(text).encode("utf-8"), digest_size=16).digest()
 
 
-def dedup_exact(records: Iterable[CorpusRecord]) -> tuple[Iterator[CorpusRecord], DedupStats]:
-    """Drop exact duplicates by whitespace-normalized text content.
-
-    First occurrence wins, input order is preserved. Runs as a
-    single-consumer stage; the stats object is final once the returned
-    stream is exhausted.
-    """
-    stats = DedupStats()
-
-    def stream() -> Iterator[CorpusRecord]:
-        seen: set[bytes] = set()
-        for record in records:
-            digest = text_digest(record.text)
-            if digest in seen:
-                stats.duplicates += 1
-                continue
+def first_wins(pairs: Iterable[tuple], seen: set[bytes], stats: DedupStats) -> Iterator:
+    """The items of (digest, item) pairs whose digest is not in seen yet, in
+    order: the first occurrence wins. seen and stats grow as items are read."""
+    for digest, item in pairs:
+        if digest in seen:
+            stats.duplicates += 1
+        else:
             seen.add(digest)
             stats.kept += 1
-            yield record
+            yield item
 
-    return stream(), stats
+
+def dedup_exact(records: Iterable[CorpusRecord]) -> tuple[Iterator[CorpusRecord], DedupStats]:
+    """Drop exact duplicates by whitespace-normalized text content: ``first_wins``
+    over the records' ``text_digest``s. stats is final once the stream is exhausted."""
+    stats = DedupStats()
+    return first_wins(((text_digest(r.text), r) for r in records), set(), stats), stats
 
 
 @dataclass(slots=True)

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
-ConfigurationError maps to CLI exit code 2, DataError to exit code 1.
-Plain ValueError is used for bad arguments to library functions.
+ConfigurationError maps to CLI exit code 2, DataError to exit code 1
+and WorkerDied to exit code 3. Plain ValueError is used for bad
+arguments to library functions.
 """
 
 
@@ -11,3 +12,7 @@ class ConfigurationError(Exception):
 
 class DataError(Exception):
     """The input data cannot be processed as requested (schema violations etc.)."""
+
+
+class WorkerDied(RuntimeError):
+    """A forked worker process ended without sending all of its results."""

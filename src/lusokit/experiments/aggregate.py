@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from lusokit import DEFAULT_SPLIT_SEED
 from lusokit.benchmarks import TaskSpec
-from lusokit.experiments.grid import HyperGrid, ModelEntry, build_matrix, make_run_key
+from lusokit.experiments.grid import HyperGrid, ModelEntry, build_matrix
 from lusokit.experiments.store import STATUS_OK
 from lusokit.textutil import render_tsv_rows
 
@@ -55,7 +55,7 @@ def aggregate_cells(
     """Summarize stored results over the expected run matrix."""
     cells: dict[tuple[str, str], dict[tuple[float, float, bool], list]] = {}
     for run in build_matrix(models, tasks, grid, split_seed):
-        rec = records.get(make_run_key(run))
+        rec = records.get(run.run_key)
         ok = rec is not None and rec.get("status") == STATUS_OK
         combos = cells.setdefault((run.model, run.task), {})
         combos.setdefault((run.lr, run.dropout, run.bf16), []).append(

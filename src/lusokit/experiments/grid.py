@@ -14,8 +14,9 @@ template's placeholders all derive from them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -162,19 +163,25 @@ class RunConfig:
         """Canonical string form of each field, by name, in field order;
         used for hashing and command building. A float's str is its
         shortest round-trip repr; bf16 reads true/false."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
         return {
             name: ("true" if value else "false") if isinstance(value, bool) else str(value)
-            for name, value in vars(self).items()
+            for name, value in values
         }
 
+    @cached_property
+    def run_key(self) -> str:
+        """Stable 16-hex-digit identity of the run, hashed once per config."""
+        joined = "\x1f".join(self.key_fields().values())
+        return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
+
     def to_dict(self) -> dict:
-        return {"run_key": make_run_key(self), **vars(self)}
+        return {"run_key": self.run_key, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 def make_run_key(cfg: RunConfig) -> str:
     """Stable 16-hex-digit identity for one run."""
-    joined = "\x1f".join(cfg.key_fields().values())
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
+    return cfg.run_key
 
 
 def _iter_cells(
@@ -210,7 +217,6 @@ def build_matrix(
         for combo in grid.combos()
         for seed in grid.seeds
     ]
-    keys = [make_run_key(r) for r in runs]
-    if len(set(keys)) != len(keys):
+    if len({run.run_key for run in runs}) != len(runs):
         raise ConfigurationError("run matrix produced colliding run keys")
     return runs

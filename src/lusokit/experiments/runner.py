@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from lusokit.benchmarks import TASKS, Metric
 from lusokit.errors import ConfigurationError
-from lusokit.experiments.grid import RunConfig, make_run_key
+from lusokit.experiments.grid import RunConfig
 from lusokit.experiments.store import STATUS_FAILED, STATUS_OK, ResultsStore
 from lusokit.fanout import fan_out
 
@@ -68,7 +68,7 @@ def validate_template(template: str) -> None:
 
 def build_command(template: str, cfg: RunConfig) -> list[str]:
     """Split template into tokens, then substitute fields per token."""
-    fields = {**cfg.key_fields(), "run_key": make_run_key(cfg)}
+    fields = {**cfg.key_fields(), "run_key": cfg.run_key}
     return [token.format(**fields) for token in shlex.split(template)]
 
 
@@ -162,12 +162,12 @@ def run_matrix(
         raise ConfigurationError(f"max_workers must be positive, got {max_workers}")
     validate_template(template)
     done = store.completed_keys()
-    to_run = [cfg for cfg in configs if make_run_key(cfg) not in done]
+    to_run = [cfg for cfg in configs if cfg.run_key not in done]
     skipped_completed = len(configs) - len(to_run)
     succeeded = failed = skipped_claimed = 0
 
     def execute(cfg: RunConfig) -> dict | str:
-        key = make_run_key(cfg)
+        key = cfg.run_key
         if not store.claim(key):
             return "claimed"
         try:

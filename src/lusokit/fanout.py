@@ -9,6 +9,8 @@ import threading
 from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
+from lusokit.errors import WorkerDied
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -64,9 +66,9 @@ def process_map(fn: Callable[[T], R], chunks: Callable[[], Iterable[T]]) -> Iter
     raises in a worker is re-raised here after every earlier result,
     caused by a RuntimeError holding the worker's traceback (and is
     itself a RuntimeError carrying its repr if it cannot be pickled); a
-    worker that dies raises a RuntimeError saying it terminated
-    abruptly. Every worker is reaped before this generator ends, raises
-    or is closed.
+    worker that dies raises WorkerDied, saying it terminated abruptly.
+    Every worker is reaped before this generator ends, raises or is
+    closed.
     """
     cpus = cpu_count()
     if cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -117,7 +119,7 @@ def process_map(fn: Callable[[T], R], chunks: Callable[[], Iterable[T]]) -> Iter
                 pid = pids.pop(w)
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 how = f"exit code {code}" if code >= 0 else f"signal {-code}"
-                raise RuntimeError(f"worker process {pid} terminated abruptly ({how})") from None
+                raise WorkerDied(f"worker process {pid} terminated abruptly ({how})") from None
             if message is None:  # worker w has no chunk left, so no worker has
                 break
             ok, value = message

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from lusokit.errors import ConfigurationError
 
@@ -38,37 +38,34 @@ WORD_CACHE_MAX = 1 << 15
 
 @dataclass(frozen=True)
 class Vocabulary:
+    """The pieces in id order; the first four are the specials cls, sep,
+    pad and unk, as in the file format. Everything else is derived."""
+
     pieces: tuple[str, ...]
-    ids: dict[str, int]
-    cls_id: int
-    sep_id: int
-    pad_id: int
-    unk_id: int
-    # Longest fragment the greedy scan tries at a word's start and after
-    # it; derived from pieces in __post_init__.
+    ids: dict[str, int] = field(init=False, compare=False, repr=False)
+    # Longest fragment the greedy scan tries at a word's start and after it.
     max_fragment_len: int = field(init=False, compare=False, repr=False)
     max_continuation_len: int = field(init=False, compare=False, repr=False)
+    cls_id: ClassVar[int] = 0
+    sep_id: ClassVar[int] = 1
+    pad_id: ClassVar[int] = 2
+    unk_id: ClassVar[int] = 3
 
     def __post_init__(self) -> None:
-        if not self.pieces:
-            raise ConfigurationError("vocabulary is empty")
-        if len(self.ids) != len(self.pieces):
-            raise ConfigurationError("vocabulary contains duplicate pieces")
-        if sorted(self.ids.values()) != list(range(len(self.pieces))):
-            raise ConfigurationError("vocabulary ids must be a bijection onto 0..N-1")
-        specials = (self.cls_id, self.sep_id, self.pad_id, self.unk_id)
-        if len(set(specials)) != 4 or any(not 0 <= s < len(self.pieces) for s in specials):
-            raise ConfigurationError("cls/sep/pad/unk ids must be four distinct vocabulary ids")
+        if len(self.pieces) < 4:
+            raise ConfigurationError("a vocabulary needs the four pieces cls, sep, pad, unk first")
+        ids: dict[str, int] = {}
+        for i, piece in enumerate(self.pieces):
+            if ids.setdefault(piece, i) != i:
+                raise ConfigurationError(f"duplicate vocabulary piece {piece!r}")
         # No fragment longer than the longest content fragment is tried,
         # and after a word's start only "##" pieces can match.
-        content = [p for i, p in enumerate(self.pieces) if i not in specials]
-        longest = max([1] + [len(p.removeprefix(CONTINUATION_PREFIX)) for p in content])
-        prefix = len(CONTINUATION_PREFIX)
-        continuation = max(
-            (len(p) - prefix for p in self.pieces if p.startswith(CONTINUATION_PREFIX)), default=0
-        )
+        longest = max([1] + [len(p.removeprefix(CONTINUATION_PREFIX)) for p in self.pieces[4:]])
+        continuations = [len(p) - len(CONTINUATION_PREFIX) for p in self.pieces
+                         if p.startswith(CONTINUATION_PREFIX)]
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "max_fragment_len", longest)
-        object.__setattr__(self, "max_continuation_len", min(longest, continuation))
+        object.__setattr__(self, "max_continuation_len", min(longest, max(continuations, default=0)))
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -83,13 +80,7 @@ class Vocabulary:
         specials: tuple[str, str, str, str] = ("[CLS]", "[SEP]", "[PAD]", "[UNK]"),
     ) -> "Vocabulary":
         """Vocabulary from content pieces, specials prepended as ids 0..3."""
-        pieces = tuple(specials) + tuple(content_pieces)
-        ids = {}
-        for i, piece in enumerate(pieces):
-            if piece in ids:
-                raise ConfigurationError(f"duplicate vocabulary piece {piece!r}")
-            ids[piece] = i
-        return cls(pieces=pieces, ids=ids, cls_id=0, sep_id=1, pad_id=2, unk_id=3)
+        return cls(tuple(specials) + tuple(content_pieces))
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:

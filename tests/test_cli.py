@@ -11,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lusokit
 from lusokit import __version__
 from lusokit.benchmarks import TASKS
 from lusokit.cli import dispatch
+from lusokit.corpus_io import record_to_json
 from lusokit.experiments.grid import build_matrix, load_roster, make_run_key
 from lusokit.experiments.store import ResultsStore
 from lusokit.packing import VIEW_MAGIC, pack_flat, read_shard
@@ -78,19 +81,23 @@ class TestDispatchBasics:
         assert "error:" in capsys.readouterr().err
 
 
-def run_python(code):
-    """Run code in a fresh interpreter with this checkout's package; its stdout."""
+def python_process(code, check=True):
+    """Run code in a fresh interpreter with this checkout's package."""
     src = str(Path(lusokit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
-        check=True,
+        check=check,
     )
-    return result.stdout.strip()
+
+
+def run_python(code):
+    """Run code in a fresh interpreter with this checkout's package; its stdout."""
+    return python_process(code).stdout.strip()
 
 
 def test_import_leaves_numpy_and_requests_unloaded():
@@ -482,6 +489,10 @@ def fan_out_rows():
     return rows
 
 
+# the whitespace before a text and after each of its words
+WHITESPACE_GAPS = st.lists(st.sampled_from([" ", "  ", "\t", "\n "]), min_size=5, max_size=5)
+
+
 def fan_out_corpus(path):
     return jsonl(path, fan_out_rows())
 
@@ -604,6 +615,32 @@ class TestProcessFanOut:
         assert self.every_command(tmp_path, capsys, "many") == (runs, files)
         # curate and pack above, then seven commands, each forking every worker
         assert len(forks) == (9 * workers if workers > 1 else 0)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(st.integers(1, 4), WHITESPACE_GAPS), max_size=12),
+           chunk_records=st.integers(1, 3))
+    def test_dedup_equals_dedup_exact_across_chunks(
+        self, tmp_path, capsys, monkeypatch, forks, rows, chunk_records
+    ):
+        # whitespace variants of four texts, so a duplicate can fall in
+        # another chunk, and another worker, than its first occurrence
+        from lusokit import cli, fanout
+        from lusokit.corpus_io import read_records
+        from lusokit.curation import dedup_exact
+
+        monkeypatch.setattr(fanout, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", chunk_records)
+        forks.clear()
+        words = ["um", "texto", "qualquer", "aqui"]
+        texts = [gaps[0] + "".join(w + g for w, g in zip(words[:n], gaps[1:])) for n, gaps in rows]
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, t) for i, t in enumerate(texts)])
+        out = tmp_path / "unique.jsonl"
+        assert dispatch(["dedup", "--input", src, "--output", str(out)]) == 0
+        unique, stats = dedup_exact(read_records(src)[0])
+        assert out.read_text(encoding="utf-8") == "".join(record_to_json(r) + "\n" for r in unique)
+        assert capsys.readouterr().err == f"kept={stats.kept} duplicates={stats.duplicates}\n"
+        assert len(forks) == (2 if len(texts) > chunk_records else 0)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lone_surrogate_is_a_malformed_unit(self, tmp_path, capsys, monkeypatch, workers):
@@ -732,9 +769,13 @@ class TestProcessFanOut:
             "cli.CHUNK_RECORDS = 3\n"
             f"sys.exit(cli.dispatch({argv!r}))\n"
         )
-        with pytest.raises(subprocess.CalledProcessError) as exc:
-            run_python(code)
-        assert "terminated abruptly" in exc.value.stderr
+        result = python_process(code, check=False)
+        # one error line and exit code 3, not a traceback
+        assert result.returncode == 3
+        assert re.fullmatch(
+            r"error: worker process \d+ terminated abruptly \(exit code 3\)\n", result.stderr
+        ), result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestTaskCommands:
@@ -924,6 +965,33 @@ class TestExperimentCommands:
         captured = capsys.readouterr()
         assert "cells=1 incomplete=0" in captured.err
         assert "m1" in captured.out
+
+    def test_each_run_key_is_hashed_once(self, tmp_path, capsys, monkeypatch):
+        import hashlib
+        from types import SimpleNamespace
+
+        from lusokit.experiments import grid
+
+        hashed = []
+
+        def counting_sha256(data):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(grid, "hashlib", SimpleNamespace(sha256=counting_sha256))
+        roster = self._roster(tmp_path)
+        store = str(tmp_path / "store")
+        template = ("sh -c 'echo dev=0.5 test=0.5' sh {run_key} {model} {task} {lr} "
+                    "{dropout} {bf16} {seed} {split_seed}")
+        code = dispatch(["run", "--models", roster, "--template", template,
+                         "--store", store, "--tasks", "rte", "--max-workers", "2"])
+        assert code == 0
+        assert "attempted=36 succeeded=36" in capsys.readouterr().err
+        assert len(hashed) == len(set(hashed)) == 36
+        hashed.clear()
+        assert dispatch(["report", "--models", roster, "--store", store, "--tasks", "rte"]) == 0
+        assert "cells=1 incomplete=0" in capsys.readouterr().err
+        assert len(hashed) == len(set(hashed)) == 36
 
     def test_run_prints_one_progress_line_per_run(self, tmp_path, capsys):
         code = dispatch(

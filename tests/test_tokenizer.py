@@ -29,9 +29,14 @@ class TestVocabulary:
         assert v.ids["de"] == 4
         assert v.piece(5) == "##s"
 
-    def test_duplicate_piece_rejected(self):
-        with pytest.raises(ConfigurationError):
+    def test_duplicate_piece_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="duplicate vocabulary piece 'de'"):
             vocab_from("de", "de")
+        # a special repeated as a content piece would take a second id
+        path = tmp_path / "vocab.txt"
+        path.write_text("[CLS]\n[SEP]\n[PAD]\n[UNK]\nola\n[UNK]\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=r"duplicate vocabulary piece '\[UNK\]'"):
+            load_vocabulary(path)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
