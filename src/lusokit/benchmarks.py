@@ -128,11 +128,6 @@ TASKS: dict[str, TaskSpec] = {
 }
 
 
-def tasks_for_variant(variant: Variant) -> list[TaskSpec]:
-    """Registry subset available in one variant, in registry order."""
-    return [spec for spec in TASKS.values() if variant in spec.variants]
-
-
 @dataclass(frozen=True)
 class TaskExample:
     """One labelled example: free-text fields plus a task-typed label."""

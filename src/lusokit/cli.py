@@ -521,7 +521,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if not pairs:
         raise DataError(f"{args.gold} has no examples")
     classes = sorted(THREE_CLASS_LABELS) if spec.metric.value == "f1_macro" else None
-    value = score(spec.metric.value, pairs, classes=classes)
+    try:
+        value = score(spec.metric.value, pairs, classes=classes)
+    except (TypeError, ValueError) as exc:  # Pearson on non-numbers or on one point
+        raise DataError(f"cannot compute {spec.metric.value}: {exc}") from None
     if value is UNDEFINED:
         print(f"{spec.metric.value}=undefined")
     else:

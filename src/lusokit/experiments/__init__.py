@@ -1,23 +1,1 @@
 """Fine-tuning experiment orchestration: grids, stores, runners, reports."""
-
-from lusokit.experiments.grid import (
-    HyperGrid,
-    ModelEntry,
-    RunConfig,
-    SizeClass,
-    build_matrix,
-    load_roster,
-    make_run_key,
-)
-from lusokit.experiments.store import ResultsStore
-
-__all__ = [
-    "HyperGrid",
-    "ModelEntry",
-    "RunConfig",
-    "SizeClass",
-    "build_matrix",
-    "load_roster",
-    "make_run_key",
-    "ResultsStore",
-]

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from lusokit import DEFAULT_SPLIT_SEED
 from lusokit.benchmarks import TaskSpec
-from lusokit.experiments.grid import HyperGrid, ModelEntry, build_matrix
+from lusokit.experiments.grid import ModelEntry, build_matrix
 from lusokit.experiments.store import STATUS_OK
 from lusokit.textutil import render_tsv_rows
 
@@ -49,12 +49,11 @@ def aggregate_cells(
     records: Mapping[str, dict],
     models: Sequence[ModelEntry],
     tasks: Iterable[TaskSpec] | None = None,
-    grid: HyperGrid | None = None,
     split_seed: int = DEFAULT_SPLIT_SEED,
 ) -> list[CellResult]:
     """Summarize stored results over the expected run matrix."""
     cells: dict[tuple[str, str], dict[tuple[float, float, bool], list]] = {}
-    for run in build_matrix(models, tasks, grid, split_seed):
+    for run in build_matrix(models, tasks, split_seed):
         rec = records.get(run.run_key)
         ok = rec is not None and rec.get("status") == STATUS_OK
         combos = cells.setdefault((run.model, run.task), {})

@@ -17,6 +17,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -35,30 +36,12 @@ class SizeClass(Enum):
     S1B5 = "1.5b"
 
 
-@dataclass(frozen=True)
-class HyperGrid:
-    """Sweep definition: the swept axes. Fixed training settings (epochs,
-    batch size, scheduler, warmup, optimizer) belong to the trainer."""
-
-    learning_rates: tuple[float, ...] = (1e-5, 5e-5, 1e-6)
-    dropouts: tuple[float, ...] = (0.0, 0.1)
-    bf16_options: tuple[bool, ...] = (False, True)
-    seeds: tuple[int, ...] = (41, 42, 43)
-
-    def __post_init__(self) -> None:
-        for name in ("learning_rates", "dropouts", "bf16_options", "seeds"):
-            values = getattr(self, name)
-            if not values:
-                raise ConfigurationError(f"grid axis {name} must be non-empty")
-            if len(set(values)) != len(values):
-                raise ConfigurationError(f"grid axis {name} has duplicates")
-
-    def combos(self) -> Iterator[tuple[float, float, bool]]:
-        """(lr, dropout, bf16) tuples, learning rate varying slowest."""
-        for lr in self.learning_rates:
-            for dropout in self.dropouts:
-                for bf16 in self.bf16_options:
-                    yield (lr, dropout, bf16)
+# The swept axes. Fixed training settings (epochs, batch size, scheduler,
+# warmup, optimizer) belong to the trainer.
+LEARNING_RATES = (1e-5, 5e-5, 1e-6)
+DROPOUTS = (0.0, 0.1)
+BF16_OPTIONS = (False, True)
+SEEDS = (41, 42, 43)
 
 
 @dataclass(frozen=True)
@@ -204,18 +187,16 @@ def _iter_cells(
 def build_matrix(
     models: Sequence[ModelEntry],
     tasks: Iterable[TaskSpec] | None = None,
-    grid: HyperGrid | None = None,
     split_seed: int = DEFAULT_SPLIT_SEED,
 ) -> list[RunConfig]:
-    """Expand roster x tasks x grid x seeds into concrete run configs, in
-    cell, then combination, then seed order."""
+    """Expand roster x tasks x axes into concrete run configs, in cell
+    order, then learning rate, dropout, bf16 and seed, the last varying
+    fastest."""
     task_list = list(tasks) if tasks is not None else list(TASKS.values())
-    grid = grid if grid is not None else HyperGrid()
     runs = [
-        RunConfig(model.name, task.name, *combo, seed, split_seed)
+        RunConfig(model.name, task.name, lr, dropout, bf16, seed, split_seed)
         for model, task in _iter_cells(models, task_list)
-        for combo in grid.combos()
-        for seed in grid.seeds
+        for lr, dropout, bf16, seed in product(LEARNING_RATES, DROPOUTS, BF16_OPTIONS, SEEDS)
     ]
     if len({run.run_key for run in runs}) != len(runs):
         raise ConfigurationError("run matrix produced colliding run keys")

@@ -1,9 +1,9 @@
 """Append-only, latest-wins JSONL log: the on-disk format of durable state.
 
-One JSON object per line, each written by one fsynced `os.write` on an
-O_APPEND descriptor under an exclusive flock, so writers never
-interleave inside a line and a crash loses at most the line being
-written.
+One JSON object per line. Each append writes its lines with one
+fsynced `os.write` on an O_APPEND descriptor under an exclusive flock,
+so writers never interleave inside a line and a crash loses at most the
+lines being written.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from pathlib import Path
 from typing import Callable, Hashable, Optional
 
 
-def append(path: str | Path, record: dict) -> None:
-    """Durably append one record as one line."""
-    data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+def append(path: str | Path, *records: dict) -> None:
+    """Durably append records, one line each, with one write and one
+    fsync."""
+    data = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         # Another appender's line can be visible in part while it is

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
 from lusokit import jsonlog
+from lusokit.errors import ConfigurationError
 from lusokit.fanout import fan_out
 
 if TYPE_CHECKING:
@@ -42,8 +43,8 @@ class PermanentTranslationError(TranslationError):
     """Non-retryable failure tied to the request content."""
 
 
-class AuthenticationError(TranslationError):
-    """Credentials rejected; retrying cannot succeed."""
+class AuthenticationError(TranslationError, ConfigurationError):
+    """Credentials missing or rejected; retrying cannot succeed."""
 
 
 class MTClient(Protocol):
@@ -129,7 +130,7 @@ class HttpMTClient:
 
 class TranslationCache:
     """(text, target) -> translation cache: one `cache.jsonl` log,
-    read once into a dict; each put is appended durably."""
+    read once into a dict; each put appends a batch durably."""
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
@@ -143,11 +144,11 @@ class TranslationCache:
     def get(self, text: str, target: str) -> Optional[str]:
         return self._entries.get((target, text))
 
-    def put(self, text: str, target: str, translation: str) -> None:
-        jsonlog.append(
-            self.path, {"target": target, "text": text, "translation": translation}
-        )
-        self._entries[(target, text)] = translation
+    def put(self, pairs: Sequence[tuple[str, str]], target: str) -> None:
+        """Store a batch's (text, translation) pairs with one fsync."""
+        records = [{"target": target, "text": text, "translation": out} for text, out in pairs]
+        jsonlog.append(self.path, *records)
+        self._entries.update(((target, text), out) for text, out in pairs)
 
 
 def _cache_key(record: dict) -> Optional[tuple]:
@@ -242,9 +243,8 @@ def translate_dataset(
         ok, bad = send(batch)
         # Cached from the worker as the batch returns, so paid work
         # survives a later batch aborting the run.
-        if cache is not None:
-            for idx, translation in ok.items():
-                cache.put(texts[idx], target, translation)
+        if cache is not None and ok:
+            cache.put([(texts[idx], translation) for idx, translation in ok.items()], target)
         return ok, bad
 
     for ok, bad in fan_out(run, batches, max_workers):

@@ -104,9 +104,10 @@ def reference_tokenize(text: str, vocab: Vocabulary) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def oracle_aggregate(records, models, tasks, grid, split_seed) -> list[CellResult]:
+def oracle_aggregate(records, models, tasks, axes, seeds, split_seed) -> list[CellResult]:
     """Report cells by brute force: every runnable (model, task) pair,
-    every hyperparameter combination, every seed, looked up one by one.
+    every combination of the (learning rates, dropouts, bf16 options)
+    axes, every seed, looked up one by one.
 
     A combination counts only when all its seeds have an ok record; a
     complete cell's winner has the highest seed-averaged dev score, ties
@@ -119,22 +120,21 @@ def oracle_aggregate(records, models, tasks, grid, split_seed) -> list[CellResul
                 continue
             if task.requires_multichoice and not model.supports_multichoice:
                 continue
-            axes = (grid.learning_rates, grid.dropouts, grid.bf16_options)
-            expected = len(grid.seeds)
+            expected = len(seeds)
             for axis in axes:
                 expected *= len(axis)
             ok_runs = 0
             means = {}
             for combo in itertools.product(*axes):
                 devs, tests = [], []
-                for seed in grid.seeds:
+                for seed in seeds:
                     run = RunConfig(model.name, task.name, *combo, seed, split_seed)
                     rec = records.get(make_run_key(run))
                     if rec is not None and rec["status"] == "ok":
                         devs.append(float(rec["dev"]))
                         tests.append(float(rec["test"]))
                 ok_runs += len(devs)
-                if len(devs) == len(grid.seeds):
+                if len(devs) == len(seeds):
                     means[combo] = (sum(devs) / len(devs), sum(tests) / len(tests))
             if ok_runs < expected:
                 cells.append(CellResult(model.name, task.name, expected, ok_runs, None, None, None))

@@ -31,7 +31,7 @@ from lusokit.curation import (
     measure_rules,
 )
 from lusokit.errors import ConfigurationError
-from lusokit.experiments.grid import HyperGrid, build_matrix, load_roster, make_run_key
+from lusokit.experiments.grid import build_matrix, load_roster, make_run_key
 from lusokit.experiments.runner import run_matrix
 from lusokit.experiments.store import ResultsStore
 from lusokit.faketrainer import should_fail_first
@@ -430,13 +430,12 @@ def test_criterion_08_end_to_end_dry_run(capsys, tmp_path):
 
 def test_criterion_09_orchestrator_resumability(capsys, tmp_path):
     with criterion(capsys, 9, "two passes finish 36 runs, no run executed twice after success"):
-        grid = HyperGrid()  # 12 combos x 3 seeds on one cell = 36 runs
         from lusokit.benchmarks import TASKS
         from lusokit.experiments.grid import ModelEntry, SizeClass
 
         entry = ModelEntry("m-accept", Variant.PTBR, SizeClass.S900M, True)
-        runs = build_matrix([entry], tasks=[TASKS["rte"]], grid=grid)
-        assert len(runs) == 36
+        runs = build_matrix([entry], tasks=[TASKS["rte"]])
+        assert len(runs) == 36  # 12 combos x 3 seeds on one cell
 
         log_path = tmp_path / "invocations.jsonl"
         flaky_dir = tmp_path / "flaky"

@@ -11,7 +11,6 @@ from lusokit.benchmarks import (
     TaskExample,
     read_task_examples,
     split_90_10,
-    tasks_for_variant,
     train_size_90_10,
     validate_examples,
     write_task_examples,
@@ -25,9 +24,9 @@ class TestRegistry:
         assert len(TASKS) == 10
 
     def test_variant_availability(self):
-        assert len(tasks_for_variant(Variant.PTBR)) == 10
-        assert len(tasks_for_variant(Variant.PTPT)) == 8
-        ptpt_names = {t.name for t in tasks_for_variant(Variant.PTPT)}
+        assert sum(Variant.PTBR in t.variants for t in TASKS.values()) == 10
+        ptpt_names = {t.name for t in TASKS.values() if Variant.PTPT in t.variants}
+        assert len(ptpt_names) == 8
         assert "assin2-rte" not in ptpt_names
         assert "assin2-sts" not in ptpt_names
 

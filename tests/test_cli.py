@@ -113,8 +113,8 @@ def test_import_leaves_command_modules_unloaded():
     heavy = ["yaml", "lusokit.config", "lusokit.experiments", "lusokit.benchmarks", "lusokit.curation"]
     code = f"import sys, lusokit.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     assert run_python(code) == "[]"
-    code = "import sys, lusokit; print('lusokit.corpus_io' in sys.modules, lusokit.CorpusRecord.__name__)"
-    assert run_python(code) == "False CorpusRecord"
+    code = "import sys, lusokit; print(sorted(m for m in sys.modules if m.startswith('lusokit.')))"
+    assert run_python(code) == "[]"
 
 
 def test_fake_translate_leaves_requests_unloaded(tmp_path):
@@ -858,6 +858,24 @@ class TestTaskCommands:
         assert capsys.readouterr().err == f"error: {preds}:{message}\n"
 
 
+    @pytest.mark.parametrize(
+        "predictions,message",
+        [
+            (["abc", 2.5], "could not convert string to float: 'abc'"),
+            ([None, 2.5], "float() argument must be a string or a real number, not 'NoneType'"),
+            ([1.0], "need at least 2 points for correlation, got 1"),
+        ],
+    )
+    def test_score_bad_pearson_input_is_one_error_line(self, tmp_path, capsys, predictions, message):
+        rows = [{"id": f"e{i}", "sentence1": "um", "sentence2": "dois", "label": 1.0 + i}
+                for i in range(len(predictions))]
+        gold = jsonl(tmp_path / "gold.jsonl", rows)
+        preds = jsonl(tmp_path / "pred.jsonl",
+                      [{"id": f"e{i}", "prediction": p} for i, p in enumerate(predictions)])
+        assert dispatch(["score", "--gold", gold, "--pred", preds, "--task", "stsb"]) == 1
+        assert capsys.readouterr().err == f"error: cannot compute pearson: {message}\n"
+
+
 class TestTranslateCommand:
     def test_fake_translation_round_trip(self, tmp_path, capsys):
         rows = [corpus_row(0, "bom dia mundo"), corpus_row(1, "ate logo")]
@@ -918,6 +936,47 @@ class TestTranslateCommand:
         assert code == 2
         assert f"error: {flag} must be positive, got 0" in capsys.readouterr().err
         assert not out.exists() and not cache.exists()
+
+    def test_missing_key_is_one_error_line(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("LUSOKIT_MT_AUTH_KEY", raising=False)
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "ola")])
+        argv = ["translate", "--input", src, "--output", str(tmp_path / "o"),
+                "--target", "PT-PT", "--endpoint", "https://mt.example/v1"]
+        code = f"import sys; from lusokit.cli import main; sys.argv[1:] = {argv!r}; main()"
+        done = python_process(code, check=False)
+        assert done.returncode == 2
+        assert done.stderr == "error: no auth key: pass one or set LUSOKIT_MT_AUTH_KEY\n"
+
+    def test_key_rejected_mid_run_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        import requests
+
+        class Response:
+            def __init__(self, status_code, texts):
+                self.status_code, self.text, self.texts = status_code, "", texts
+
+            def json(self):
+                return {"translations": self.texts}
+
+        class Session:
+            """Echoes the first batch back, then answers 401."""
+            posts = 0
+
+            def post(self, url, json, headers, timeout):
+                self.posts += 1
+                return Response(200 if self.posts == 1 else 401, json["texts"])
+
+        monkeypatch.setenv("LUSOKIT_MT_AUTH_KEY", "chave")
+        monkeypatch.setattr(requests, "Session", Session)
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, f"texto {i}") for i in range(3)])
+        code = dispatch(
+            ["translate", "--input", src, "--output", str(tmp_path / "o"), "--target", "PT-PT",
+             "--endpoint", "https://mt.example/v1", "--batch-size", "1",
+             "--cache-dir", str(tmp_path / "cache")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: auth rejected with status 401\n"
+        cached = (tmp_path / "cache" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["text"] for line in cached] == ["texto 0"]
 
     def test_endpoint_required_without_fake(self, tmp_path):
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "ola")])

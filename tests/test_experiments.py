@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from lusokit.benchmarks import TASKS
 from lusokit.errors import ConfigurationError
+from lusokit.experiments import grid
 from lusokit.experiments.aggregate import aggregate_cells, render_cell_table, render_cell_tsv
 from lusokit.experiments.grid import (
-    HyperGrid,
     ModelEntry,
     RunConfig,
     SizeClass,
@@ -62,23 +63,20 @@ def cfg(**kw):
 
 class TestGrid:
     def test_default_axes(self):
-        grid = HyperGrid()
-        assert grid.learning_rates == (1e-5, 5e-5, 1e-6)
-        assert grid.dropouts == (0.0, 0.1)
-        assert grid.bf16_options == (False, True)
-        assert grid.seeds == (41, 42, 43)
+        assert grid.LEARNING_RATES == (1e-5, 5e-5, 1e-6)
+        assert grid.DROPOUTS == (0.0, 0.1)
+        assert grid.BF16_OPTIONS == (False, True)
+        assert grid.SEEDS == (41, 42, 43)
 
     def test_combos_lr_major_order(self):
-        combos = list(HyperGrid().combos())
+        runs = build_matrix([model()], tasks=[TASKS["rte"]])
+        combos = [(r.lr, r.dropout, r.bf16) for r in runs[::3]]
+        assert [r.seed for r in runs[:3]] == [41, 42, 43]
         assert combos[0] == (1e-5, 0.0, False)
         assert combos[1] == (1e-5, 0.0, True)
         assert combos[2] == (1e-5, 0.1, False)
         assert combos[4] == (5e-5, 0.0, False)
         assert len(combos) == 12
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HyperGrid(seeds=())
 
     def test_small_size_class_cannot_claim_multichoice(self):
         with pytest.raises(ConfigurationError):
@@ -387,8 +385,8 @@ class TestRunOne:
 
 class TestRunMatrix:
     def _mini_runs(self):
-        grid = HyperGrid(learning_rates=(1e-5,), dropouts=(0.0,), bf16_options=(False,))
-        return build_matrix([model()], tasks=[TASKS["rte"]], grid=grid)
+        runs = build_matrix([model()], tasks=[TASKS["rte"]])
+        return [r for r in runs if (r.lr, r.dropout, r.bf16) == (1e-5, 0.0, False)]
 
     def test_executes_and_resumes(self, tmp_path):
         runs = self._mini_runs()
@@ -468,11 +466,10 @@ class TestAggregate:
         return records
 
     def test_best_on_dev_reports_mean_test(self):
-        grid = HyperGrid()
-        runs = build_matrix([model()], tasks=[TASKS["rte"]], grid=grid)
+        runs = build_matrix([model()], tasks=[TASKS["rte"]])
         # make lr=5e-5 clearly best on dev
         records = self._records_for(runs, lambda r: 0.9 if r.lr == 5e-5 else 0.1)
-        cells = aggregate_cells(records, [model()], tasks=[TASKS["rte"]], grid=grid)
+        cells = aggregate_cells(records, [model()], tasks=[TASKS["rte"]])
         assert len(cells) == 1
         cell = cells[0]
         assert cell.complete
@@ -481,15 +478,13 @@ class TestAggregate:
         assert cell.display() == f"{cell.mean_test:.4f}"
 
     def test_tie_breaks_prefer_lower_lr_dropout_bf16_off(self):
-        grid = HyperGrid()
-        runs = build_matrix([model()], tasks=[TASKS["rte"]], grid=grid)
+        runs = build_matrix([model()], tasks=[TASKS["rte"]])
         records = self._records_for(runs, lambda r: 0.7)  # all tied on dev
-        cells = aggregate_cells(records, [model()], tasks=[TASKS["rte"]], grid=grid)
+        cells = aggregate_cells(records, [model()], tasks=[TASKS["rte"]])
         assert cells[0].best_combo == (1e-6, 0.0, False)
 
     def test_incomplete_cell_reports_deficit(self):
-        grid = HyperGrid()
-        runs = build_matrix([model()], tasks=[TASKS["rte"]], grid=grid)
+        runs = build_matrix([model()], tasks=[TASKS["rte"]])
         records = self._records_for(runs, lambda r: 0.7)
         dropped = make_run_key(runs[0])
         del records[dropped]
@@ -499,18 +494,17 @@ class TestAggregate:
             "dev": None,
             "test": None,
         }
-        cells = aggregate_cells(records, [model()], tasks=[TASKS["rte"]], grid=grid)
+        cells = aggregate_cells(records, [model()], tasks=[TASKS["rte"]])
         cell = cells[0]
         assert not cell.complete
         assert cell.display() == "n.a. (missing 2)"
 
     def test_render_table_and_tsv(self):
-        grid = HyperGrid()
         models = [model(), model(name="m2")]
         tasks = [TASKS["rte"], TASKS["boolq"]]
-        runs = build_matrix(models, tasks=tasks, grid=grid)
+        runs = build_matrix(models, tasks=tasks)
         records = self._records_for(runs, lambda r: 0.7)
-        cells = aggregate_cells(records, models, tasks=tasks, grid=grid)
+        cells = aggregate_cells(records, models, tasks=tasks)
         table = render_cell_table(cells)
         assert table.splitlines()[0].split() == ["model", "rte", "boolq"]
         assert table.splitlines()[2].startswith("m1")
@@ -521,13 +515,11 @@ class TestAggregate:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_brute_force_oracle(self, data):
-        small = lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True)
-        grid = HyperGrid(
-            learning_rates=tuple(data.draw(small([1e-6, 5e-6, 1e-5, 2e-5, 5e-5]))),
-            dropouts=tuple(data.draw(small([0.0, 0.1, 0.2, 0.3]))),
-            bf16_options=tuple(data.draw(small([False, True]))),
-            seeds=tuple(data.draw(small([7, 41, 42, 43, 1000]))),
+        small = lambda values: tuple(
+            data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
         )
+        axes = (small([1e-6, 5e-6, 1e-5, 2e-5, 5e-5]), small([0.0, 0.1, 0.2, 0.3]), small([False, True]))
+        seeds = small([7, 41, 42, 43, 1000])
         variants = st.sampled_from([Variant.PTBR, Variant.PTPT])
         models = [model("small", data.draw(variants), SizeClass.S100M, multi=False)]
         for i in range(data.draw(st.integers(0, 2))):
@@ -542,7 +534,11 @@ class TestAggregate:
         # the store's latest-wins view: ties on dev are common, a few runs
         # are missing or failed, and runs at another split seed must not count
         records = {}
-        runs = build_matrix(models, tasks=tasks, grid=grid, split_seed=split_seed)
+        patched = patch.multiple(
+            grid, LEARNING_RATES=axes[0], DROPOUTS=axes[1], BF16_OPTIONS=axes[2], SEEDS=seeds
+        )
+        with patched:
+            runs = build_matrix(models, tasks=tasks, split_seed=split_seed)
         for run in runs:
             record = {"status": "ok", "dev": rng.choice([0.25, 0.5, 0.75]), "test": rng.random()}
             records[make_run_key(run)] = record
@@ -555,6 +551,6 @@ class TestAggregate:
             else:
                 records[key] = {"status": "failed", "dev": None, "test": None}
 
-        assert aggregate_cells(records, models, tasks=tasks, grid=grid, split_seed=split_seed) == (
-            oracle_aggregate(records, models, tasks, grid, split_seed)
-        )
+        with patched:
+            cells = aggregate_cells(records, models, tasks=tasks, split_seed=split_seed)
+        assert cells == oracle_aggregate(records, models, tasks, axes, seeds, split_seed)

@@ -12,6 +12,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lusokit.errors import ConfigurationError
 from lusokit.translate import (
     AUTH_KEY_ENV_VAR,
     MAX_RETRIES,
@@ -220,6 +221,12 @@ class TestHttpClient:
         with pytest.raises(PermanentTranslationError):
             client.translate_batch(["one"], "PT-PT")
 
+    def test_rejected_key_is_a_configuration_error(self):
+        # so the CLI prints it as one error: line and exits 2
+        client = http_client(StubSession(StubResponse(401)))
+        with pytest.raises(ConfigurationError, match="^auth rejected with status 401$"):
+            translate_dataset(["ola"], "PT-PT", client, sleep=no_sleep)
+
     def test_missing_key_is_authentication_error(self, monkeypatch):
         monkeypatch.delenv(AUTH_KEY_ENV_VAR, raising=False)
         with pytest.raises(AuthenticationError):
@@ -264,16 +271,15 @@ class TestCache:
 
     def test_cache_is_target_scoped(self, tmp_path):
         cache = TranslationCache(tmp_path / "mt")
-        cache.put("ola", "PT-PT", "ola-pt")
+        cache.put([("ola", "ola-pt")], "PT-PT")
         assert cache.get("ola", "PT-PT") == "ola-pt"
         assert cache.get("ola", "PT-BR") is None
 
     def test_one_log_file_survives_reopen(self, tmp_path):
         cache = TranslationCache(tmp_path / "mt")
-        cache.put("ola", "PT-PT", "ola-pt")
-        cache.put("ola", "PT-BR", "ola-br")
-        cache.put("adeus", "PT-PT", "adeus-pt")
-        cache.put("ola", "PT-PT", "ola-pt-2")  # latest put wins
+        cache.put([("ola", "ola-pt"), ("adeus", "adeus-pt")], "PT-PT")
+        cache.put([("ola", "ola-br")], "PT-BR")
+        cache.put([("ola", "ola-pt-2")], "PT-PT")  # latest put wins
         assert sorted(p.name for p in (tmp_path / "mt").iterdir()) == ["cache.jsonl"]
         reopened = TranslationCache(tmp_path / "mt")
         assert reopened.get("ola", "PT-PT") == "ola-pt-2"
@@ -283,8 +289,7 @@ class TestCache:
 
     def test_torn_last_line_is_a_miss(self, tmp_path):
         cache = TranslationCache(tmp_path / "mt")
-        cache.put("ola", "PT-PT", "ola-pt")
-        cache.put("bom dia", "PT-PT", "dia bom")
+        cache.put([("ola", "ola-pt"), ("bom dia", "dia bom")], "PT-PT")
         # a crash mid-append: the next record cut inside a 2-byte character
         line = '{"target": "PT-PT", "text": "até", "translation": "até"}'.encode()
         with (tmp_path / "mt" / "cache.jsonl").open("ab") as out:
@@ -294,8 +299,22 @@ class TestCache:
         assert reopened.get("ola", "PT-PT") == "ola-pt"
         assert reopened.get("bom dia", "PT-PT") == "dia bom"
         # the torn fragment does not swallow the next append
-        reopened.put("até", "PT-PT", "até-pt")
+        reopened.put([("até", "até-pt")], "PT-PT")
         assert TranslationCache(tmp_path / "mt").get("até", "PT-PT") == "até-pt"
+
+    def test_one_fsync_per_batch(self, tmp_path, monkeypatch):
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+        texts = [f"texto {i}" for i in range(120)]
+        cache = TranslationCache(tmp_path / "mt")
+        outcome = translate_dataset(texts, "PT-PT", ScriptedClient(), cache=cache, batch_size=50)
+        assert outcome.requests_issued == 3
+        assert len(fsyncs) == 3
+        lines = (tmp_path / "mt" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 120
+        reopened = TranslationCache(tmp_path / "mt")
+        assert [reopened.get(t, "PT-PT") for t in texts] == list(outcome.translations)
 
     def test_finished_batches_cached_before_auth_abort(self, tmp_path):
         # two batches are paid for, then the key is rejected on the third
