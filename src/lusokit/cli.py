@@ -376,7 +376,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         if not args.endpoint:
             raise ConfigurationError("--endpoint is required unless --fake is given")
         client = HttpMTClient(args.endpoint)
-    cache = TranslationCache(args.cache_dir) if args.cache_dir else None
+    cache = TranslationCache(args.cache_dir, texts=texts) if args.cache_dir else None
     outcome = translate_dataset(
         texts,
         args.target,
@@ -389,7 +389,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     translated = [dataclasses.replace(r, text=t) for r, t in pairs if t is not None]
     written = write_records(translated, args.output)
     for idx, message in outcome.rejects:
-        log.debug("rejected input %d: %s", idx, message)
+        log.warning("rejected %s: %s", materialized[idx].id, message)
     print(
         f"translated={written} rejected={len(outcome.rejects)} "
         f"requests={outcome.requests_issued}",

@@ -9,12 +9,13 @@ retry will ever help).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol, Sequence
 
 from lusokit import jsonlog
 from lusokit.errors import ConfigurationError
@@ -29,6 +30,9 @@ AUTH_KEY_ENV_VAR = "LUSOKIT_MT_AUTH_KEY"
 # after sleeping BACKOFF_BASE_S * 2**attempt seconds.
 MAX_RETRIES = 4
 BACKOFF_BASE_S = 0.5
+
+# Cache lines key a text by a BLAKE2b digest of this many bytes.
+DIGEST_BYTES = 16
 
 
 class TranslationError(Exception):
@@ -129,31 +133,66 @@ class HttpMTClient:
 
 
 class TranslationCache:
-    """(text, target) -> translation cache: one `cache.jsonl` log,
-    read once into a dict; each put appends a batch durably."""
+    """(text, target) -> translation cache kept in one `cache.jsonl` log.
 
-    def __init__(self, directory: str | Path) -> None:
+    Each line is `{"target", "digest", "translation"}`, where digest is
+    the hex of a 16-byte BLAKE2b of the text's UTF-8 bytes; the caller
+    holds the text, so the log does not repeat it. Lines in the older
+    `{"target", "text", "translation"}` shape are still read, their
+    text digested on load. Given `texts`, the load keeps only the lines
+    of those texts, so memory follows the input rather than the log;
+    `get` then misses any other text the log holds. Each put appends a
+    batch durably.
+    """
+
+    def __init__(self, directory: str | Path, texts: Optional[Iterable[str]] = None) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "cache.jsonl"
-        self._entries = {
-            key: record["translation"]
-            for key, record in jsonlog.load(self.path, _cache_key).items()
-        }
+        # target -> digest -> translation: no tuple or text per entry
+        self._entries: dict[str, dict[bytes, str]] = {}
+        wanted = None if texts is None else {_digest(text) for text in texts}
+
+        def keep(record: dict) -> None:
+            # Fills the entries itself, latest line last, and gives
+            # jsonlog no key, so no record is held beside them.
+            key = _cache_key(record)
+            if key is not None and (wanted is None or key[1] in wanted):
+                self._entries.setdefault(key[0], {})[key[1]] = record["translation"]
+
+        jsonlog.load(self.path, keep)
 
     def get(self, text: str, target: str) -> Optional[str]:
-        return self._entries.get((target, text))
+        entries = self._entries.get(target)
+        return None if entries is None else entries.get(_digest(text))
 
     def put(self, pairs: Sequence[tuple[str, str]], target: str) -> None:
         """Store a batch's (text, translation) pairs with one fsync."""
-        records = [{"target": target, "text": text, "translation": out} for text, out in pairs]
-        jsonlog.append(self.path, *records)
-        self._entries.update(((target, text), out) for text, out in pairs)
+        keyed = [(_digest(text), out) for text, out in pairs]
+        jsonlog.append(self.path, *(
+            {"target": target, "digest": digest.hex(), "translation": out}
+            for digest, out in keyed
+        ))
+        self._entries.setdefault(target, {}).update(keyed)
 
 
-def _cache_key(record: dict) -> Optional[tuple]:
-    if isinstance(record.get("translation"), str):
-        return (record.get("target"), record.get("text"))
+def _digest(text: str) -> bytes:
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=DIGEST_BYTES).digest()
+
+
+def _cache_key(record: dict) -> Optional[tuple[str, bytes]]:
+    """(target, text digest) of a well-formed cache line, else None."""
+    target, digest, text = record.get("target"), record.get("digest"), record.get("text")
+    if not isinstance(target, str) or not isinstance(record.get("translation"), str):
+        return None
+    if isinstance(digest, str):
+        try:
+            key = bytes.fromhex(digest)
+        except ValueError:
+            return None
+        return (target, key) if len(key) == DIGEST_BYTES else None
+    if digest is None and isinstance(text, str):
+        return target, _digest(text)  # a line written before digests
     return None
 
 
@@ -180,77 +219,80 @@ def translate_dataset(
 ) -> TranslationOutcome:
     """Translate texts into target, returning aligned results.
 
-    Cache hits and empty strings never reach the client. Batches fan
-    out across max_workers threads and each batch's translations are
-    cached as it finishes. A transient failure is retried with backoff
-    (MAX_RETRIES, BACKOFF_BASE_S); a permanent one bisects the batch
-    until it isolates the texts that cause it. A single authentication
-    failure aborts the whole run, since no other batch could succeed
-    either: batches not yet started are never sent.
+    Cache hits and empty strings never reach the client, and a text
+    that repeats is sent and cached once, its translation or reject
+    going to every index that holds it. Batches fan out across
+    max_workers threads and each batch's translations are cached as it
+    finishes. A transient failure is retried with backoff (MAX_RETRIES,
+    BACKOFF_BASE_S); a permanent one bisects the batch until it
+    isolates the texts that cause it. A single authentication failure
+    aborts the whole run, since no other batch could succeed either:
+    batches not yet started are never sent.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     if max_workers < 1:
         raise ValueError(f"max_workers must be positive, got {max_workers}")
     results: list[Optional[str]] = [None] * len(texts)
-    pending: list[tuple[int, str]] = []
+    pending: dict[str, list[int]] = {}  # distinct text -> its indices
     for i, text in enumerate(texts):
         if text == "":
             results[i] = ""
-            continue
-        if cache is not None:
-            hit = cache.get(text, target)
-            if hit is not None:
+        elif text in pending:
+            pending[text].append(i)
+        else:
+            hit = None if cache is None else cache.get(text, target)
+            if hit is None:
+                pending[text] = [i]
+            else:
                 results[i] = hit
-                continue
-        pending.append((i, text))
 
-    batches = [pending[i : i + batch_size] for i in range(0, len(pending), batch_size)]
+    distinct = list(pending)
+    batches = [distinct[i : i + batch_size] for i in range(0, len(distinct), batch_size)]
     rejects: list[tuple[int, str]] = []
     requests_issued = 0
     lock = threading.Lock()
 
-    def send(batch: list[tuple[int, str]]) -> tuple[dict[int, str], list[tuple[int, str]]]:
-        """Translate one indexed batch, bisecting on permanent failures."""
+    def send(batch: list[str]) -> tuple[dict[str, str], list[tuple[str, str]]]:
+        """Translate one batch, bisecting on permanent failures."""
         nonlocal requests_issued
         attempt = 0
         while True:
             with lock:
                 requests_issued += 1
             try:
-                out = client.translate_batch([text for _, text in batch], target)
+                out = client.translate_batch(batch, target)
                 if len(out) != len(batch):
                     raise PermanentTranslationError(
                         f"expected {len(batch)} translations, got {len(out)}"
                     )
-                return {idx: translation for (idx, _), translation in zip(batch, out)}, []
+                return dict(zip(batch, out)), []
             except TransientTranslationError as exc:
                 if attempt >= MAX_RETRIES:
-                    return {}, [
-                        (idx, f"transient failure persisted after {attempt + 1} attempts: {exc}")
-                        for idx, _ in batch
-                    ]
+                    reason = f"transient failure persisted after {attempt + 1} attempts: {exc}"
+                    return {}, [(text, reason) for text in batch]
                 sleep(BACKOFF_BASE_S * (2**attempt))
                 attempt += 1
             except PermanentTranslationError as exc:
                 if len(batch) == 1:
-                    return {}, [(batch[0][0], str(exc))]
+                    return {}, [(batch[0], str(exc))]
                 mid = len(batch) // 2
                 (left, left_bad), (right, right_bad) = send(batch[:mid]), send(batch[mid:])
                 return {**left, **right}, left_bad + right_bad
 
-    def run(batch: list[tuple[int, str]]):
+    def run(batch: list[str]):
         ok, bad = send(batch)
         # Cached from the worker as the batch returns, so paid work
         # survives a later batch aborting the run.
         if cache is not None and ok:
-            cache.put([(texts[idx], translation) for idx, translation in ok.items()], target)
+            cache.put(list(ok.items()), target)
         return ok, bad
 
     for ok, bad in fan_out(run, batches, max_workers):
-        for idx, translation in ok.items():
-            results[idx] = translation
-        rejects.extend(bad)
+        for text, translation in ok.items():
+            for idx in pending[text]:
+                results[idx] = translation
+        rejects.extend((idx, reason) for text, reason in bad for idx in pending[text])
 
     rejects.sort(key=lambda item: item[0])
     return TranslationOutcome(

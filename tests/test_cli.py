@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, wiring, stderr reporting."""
 
+import hashlib
 import json
 import os
 import random
@@ -909,6 +910,53 @@ class TestTranslateCommand:
         assert "requests=3" in err and "requests=0" in err
         assert outputs[0] == outputs[1]
 
+    def test_repeated_text_is_sent_and_cached_once(self, tmp_path, capsys):
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, "o mesmo texto") for i in range(4)])
+        out = tmp_path / "out.jsonl"
+        code = dispatch(
+            ["translate", "--input", src, "--output", str(out), "--target", "PT-PT",
+             "--fake", "--cache-dir", str(tmp_path / "cache")]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == "translated=4 rejected=0 requests=1\n"
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [(r["id"], r["text"]) for r in rows] == [(f"r{i}", "texto mesmo o") for i in range(4)]
+        cached = (tmp_path / "cache" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(cached) == 1 and "text" not in json.loads(cached[0])
+
+    def test_each_reject_is_one_warning_line(self, tmp_path, monkeypatch, capsys):
+        import requests
+
+        class Response:
+            status_code, text = 200, ""
+
+            def __init__(self, texts):
+                self.texts = texts
+
+            def json(self):
+                # a non-text answer for "veneno" rejects that text alone
+                return {"translations": [None if t == "veneno" else t for t in self.texts]}
+
+        class Session:
+            def post(self, url, json, headers, timeout):
+                return Response(json["texts"])
+
+        monkeypatch.setenv("LUSOKIT_MT_AUTH_KEY", "chave")
+        monkeypatch.setattr(requests, "Session", Session)
+        rows = [corpus_row(0, "um"), corpus_row(1, "veneno"), corpus_row(2, "dois"),
+                corpus_row(3, "veneno")]
+        code = dispatch(
+            ["translate", "--input", jsonl(tmp_path / "in.jsonl", rows),
+             "--output", str(tmp_path / "o"), "--target", "PT-PT",
+             "--endpoint", "https://mt.example/v1"]
+        )
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "WARNING lusokit: rejected r1: translation 0 is NoneType, not text",
+            "WARNING lusokit: rejected r3: translation 0 is NoneType, not text",
+            "translated=2 rejected=2 requests=5",
+        ]
+
     def test_output_lines_serialize_like_records(self, tmp_path, capsys):
         rows = [
             {"id": "a", "url": "https://x.pt/1", "source": "DCEP", "text": "um \u00e9 dois"},
@@ -976,7 +1024,9 @@ class TestTranslateCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: auth rejected with status 401\n"
         cached = (tmp_path / "cache" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["text"] for line in cached] == ["texto 0"]
+        digest = hashlib.blake2b("texto 0".encode("utf-8"), digest_size=16).hexdigest()
+        assert [(json.loads(line)["digest"], json.loads(line)["translation"])
+                for line in cached] == [(digest, "texto 0")]
 
     def test_endpoint_required_without_fake(self, tmp_path):
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "ola")])

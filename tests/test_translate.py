@@ -1,11 +1,15 @@
 """Translation client plumbing: batching, retries, bisection, cache."""
 
+import hashlib
+import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
@@ -22,6 +26,7 @@ from lusokit.translate import (
     PermanentTranslationError,
     TransientTranslationError,
     TranslationCache,
+    _digest,
     translate_dataset,
 )
 
@@ -128,6 +133,15 @@ class TestBisection:
                 assert outcome.translations[i] is None
             else:
                 assert outcome.translations[i] == f"[PT-PT] {text}"
+
+    def test_repeated_poison_rejects_each_index(self):
+        client = ScriptedClient(permanent_texts={"veneno"})
+        texts = ["veneno", "um", "veneno", "dois"]
+        outcome = translate_dataset(texts, "PT-PT", client, batch_size=4, sleep=no_sleep)
+        assert outcome.translations == (None, "[PT-PT] um", None, "[PT-PT] dois")
+        assert outcome.rejects == ((0, "cannot translate 'veneno'"),
+                                   (2, "cannot translate 'veneno'"))
+        assert client.calls[0] == ("veneno", "um", "dois")  # sent once
 
 
 class TestAuth:
@@ -302,6 +316,65 @@ class TestCache:
         reopened.put([("até", "até-pt")], "PT-PT")
         assert TranslationCache(tmp_path / "mt").get("até", "PT-PT") == "até-pt"
 
+    def test_lines_hold_a_digest_not_the_text(self, tmp_path):
+        TranslationCache(tmp_path / "mt").put([("até logo", "logo até")], "PT-PT")
+        [line] = (tmp_path / "mt" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+        digest = hashlib.blake2b("até logo".encode("utf-8"), digest_size=16).hexdigest()
+        assert json.loads(line) == {"target": "PT-PT", "digest": digest, "translation": "logo até"}
+
+    def test_legacy_line_is_a_hit_until_a_digest_line_replaces_it(self, tmp_path):
+        (tmp_path / "mt").mkdir()
+        legacy = {"target": "PT-PT", "text": "ola", "translation": "pago antes"}
+        (tmp_path / "mt" / "cache.jsonl").write_text(json.dumps(legacy) + "\n", encoding="utf-8")
+        client = ScriptedClient()
+        outcome = translate_dataset(["ola"], "PT-PT", client,
+                                    cache=TranslationCache(tmp_path / "mt"), sleep=no_sleep)
+        assert outcome.translations == ("pago antes",)
+        assert outcome.requests_issued == 0 and client.calls == []
+        TranslationCache(tmp_path / "mt").put([("ola", "pago depois")], "PT-PT")
+        for texts in (None, ["ola"]):
+            assert TranslationCache(tmp_path / "mt", texts=texts).get("ola", "PT-PT") == "pago depois"
+
+    def test_torn_digest_line_is_a_miss(self, tmp_path):
+        cache = TranslationCache(tmp_path / "mt")
+        cache.put([("ola", "ola-pt")], "PT-PT")
+        whole = (tmp_path / "mt" / "cache.jsonl").read_bytes()
+        TranslationCache(tmp_path / "mt").put([("adeus", "adeus-pt")], "PT-PT")
+        # a crash mid-append: the second line cut inside its digest
+        line = (tmp_path / "mt" / "cache.jsonl").read_bytes()[len(whole):]
+        (tmp_path / "mt" / "cache.jsonl").write_bytes(whole + line[: line.index(b'"digest"') + 20])
+        reopened = TranslationCache(tmp_path / "mt")
+        assert reopened.get("adeus", "PT-PT") is None
+        assert reopened.get("ola", "PT-PT") == "ola-pt"
+        # the torn fragment does not swallow the next append
+        reopened.put([("adeus", "adeus-pt-2")], "PT-PT")
+        reopened = TranslationCache(tmp_path / "mt")
+        assert reopened.get("adeus", "PT-PT") == "adeus-pt-2"
+        assert reopened.get("ola", "PT-PT") == "ola-pt"
+
+    @pytest.mark.parametrize("line", [
+        {"target": "PT-PT", "digest": "zz" * 16, "translation": "x"},
+        {"target": "PT-PT", "digest": "ab" * 15, "translation": "x"},
+        {"target": "PT-PT", "digest": 5, "text": "ola", "translation": "x"},
+        {"target": ["PT-PT"], "text": "ola", "translation": "x"},
+        {"target": "PT-PT", "text": "ola", "translation": None},
+    ])
+    def test_malformed_lines_are_skipped(self, tmp_path, line):
+        (tmp_path / "mt").mkdir()
+        (tmp_path / "mt" / "cache.jsonl").write_text(json.dumps(line) + "\n", encoding="utf-8")
+        assert TranslationCache(tmp_path / "mt").get("ola", "PT-PT") is None
+
+    def test_load_keeps_only_the_given_texts(self, tmp_path):
+        cache = TranslationCache(tmp_path / "mt")
+        cache.put([("um", "um-pt"), ("dois", "dois-pt"), ("tres", "tres-pt")], "PT-PT")
+        cache.put([("dois", "dois-br")], "PT-BR")
+        bounded = TranslationCache(tmp_path / "mt", texts=["dois", "quatro"])
+        assert bounded._entries == {
+            "PT-PT": {_digest("dois"): "dois-pt"}, "PT-BR": {_digest("dois"): "dois-br"},
+        }
+        assert bounded.get("dois", "PT-BR") == "dois-br"
+        assert bounded.get("um", "PT-PT") is None  # in the log, outside the input
+
     def test_one_fsync_per_batch(self, tmp_path, monkeypatch):
         fsyncs = []
         real_fsync = os.fsync
@@ -403,9 +476,56 @@ class TestTranslateProperties:
             None if text in poison else (f"[PT-PT] {text}" if text else "")
             for text in texts
         )
-        pending = [text for text in texts if text]
+        pending = list(dict.fromkeys(text for text in texts if text))  # each text sent once
         batches = [pending[i : i + batch_size] for i in range(0, len(pending), batch_size)]
         assert serial.requests_issued == sum(requests_for(b, poison) for b in batches)
+
+
+CACHE_TEXTS = ["", "ola", "adeus", "até logo", "bom dia", "veneno"]
+CACHE_POISON = {"veneno"}
+
+
+class TestCacheProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(calls=st.lists(st.tuples(
+        st.lists(st.sampled_from(CACHE_TEXTS), max_size=8),
+        st.sampled_from(["PT-PT", "PT-BR"]),
+        st.booleans(),  # reopen the cache before this call
+        st.none() | st.lists(st.sampled_from(CACHE_TEXTS), max_size=4),  # texts= of a reopen
+        st.integers(1, 3),  # batch_size
+    ), max_size=6))
+    def test_calls_match_a_dict_oracle(self, calls):
+        with tempfile.TemporaryDirectory() as work:
+            directory = Path(work) / "mt"
+            durable = {}  # (target, text) -> translation: what the log holds
+            cache = loaded = None  # the open cache and what it holds
+            for texts, target, reopen, only, batch_size in calls:
+                if cache is None or reopen:
+                    cache = TranslationCache(directory, texts=only)
+                    loaded = {k: v for k, v in durable.items() if only is None or k[1] in only}
+                client = ScriptedClient(permanent_texts=CACHE_POISON)
+                outcome = translate_dataset(texts, target, client, cache=cache,
+                                            batch_size=batch_size, sleep=no_sleep)
+                pending = [t for t in dict.fromkeys(texts) if t and (target, t) not in loaded]
+                batches = [pending[i : i + batch_size] for i in range(0, len(pending), batch_size)]
+                assert outcome.requests_issued == sum(requests_for(b, CACHE_POISON) for b in batches)
+                for text in pending:
+                    if text not in CACHE_POISON:
+                        durable[(target, text)] = loaded[(target, text)] = f"[{target}] {text}"
+                assert outcome.translations == tuple(
+                    "" if not t else loaded.get((target, t)) for t in texts
+                )
+                assert [i for i, _ in outcome.rejects] == [
+                    i for i, t in enumerate(texts) if t in CACHE_POISON
+                ]
+            log = directory / "cache.jsonl"
+            lines = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+            assert all(set(json.loads(line)) == {"target", "digest", "translation"}
+                       for line in lines)
+            reopened = TranslationCache(directory)
+            for target in ("PT-PT", "PT-BR"):
+                for text in CACHE_TEXTS:
+                    assert reopened.get(text, target) == durable.get((target, text))
 
 
 class TestWorkers:
