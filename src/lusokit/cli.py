@@ -225,14 +225,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    from array import array
-
     from lusokit.packing import (
-        ID_TYPECODES,
         ShardWriter,
         TruncationSchedule,
         cap_rows,
-        id_width,
         plan_device_split,
         write_view,
     )
@@ -250,14 +246,13 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     caps = [cap for cap, _steps in schedule.stages]
     top = caps[-1]
     vocab = load_vocabulary(args.vocab)
-    typecode = ID_TYPECODES[id_width(len(vocab))]
-    memo: dict = {}  # word -> ids; each worker fills its own copy
+    memo: dict = {}  # word -> ids as shard bytes; each worker fills its own copy
 
     def tokenize_chunk(records):
         """Ids capped at the top cap as shard bytes (<u2 for a vocabulary of at
         most 65,536 pieces, <i4 otherwise), kept lengths, rows over the cap."""
         ids, lengths = tokenize_flat([record.text for record in records], vocab, memo)
-        return [], (*cap_rows(array(typecode, ids), lengths, top), sum(n > top for n in lengths))
+        return [], (*cap_rows(ids, lengths, top), sum(n > top for n in lengths))
 
     chunks, _ = _map_corpus(args.input, tokenize_chunk)
 

@@ -17,13 +17,14 @@ UTF-8 byte order mark at the very start of a file is dropped.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
+
+from lusokit.textutil import blake2b
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +77,7 @@ class IngestReport:
 
 
 def _synth_id(text: str, line_no: int) -> str:
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=6).hexdigest()
+    digest = blake2b(text.encode("utf-8"), digest_size=6).hexdigest()
     return f"{digest}#{line_no}"
 
 

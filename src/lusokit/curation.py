@@ -13,14 +13,13 @@ while the blocklist still applies.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Iterable, Iterator
 
 from lusokit.corpus_io import CorpusRecord, Source
 from lusokit.errors import ConfigurationError
-from lusokit.textutil import normalize_whitespace
+from lusokit.textutil import blake2b, normalize_whitespace
 from lusokit.urls import hostname_of
 
 # The quality rules in rejected_by attribution order: (rule name,
@@ -245,7 +244,7 @@ class DedupStats:
 
 def text_digest(text: str) -> bytes:
     """The key exact dedup compares: a digest of the whitespace-normalized text."""
-    return hashlib.blake2b(normalize_whitespace(text).encode("utf-8"), digest_size=16).digest()
+    return blake2b(normalize_whitespace(text).encode("utf-8"), digest_size=16).digest()
 
 
 def first_wins(pairs: Iterable[tuple], seen: set[bytes], stats: DedupStats) -> Iterator:

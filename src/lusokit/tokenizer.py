@@ -13,26 +13,33 @@ unk id. Any tokenizer producing id sequences can be substituted
 downstream, since packing takes flat ids and row lengths.
 
 A pre-token's ids do not depend on its neighbours, so ``tokenize_flat``
-memoizes them per word across many texts; web text is Zipfian and most
-words repeat. On a miss the scan after a word's start tries no fragment
-longer than the longest ``##`` piece (Song et al., "Fast WordPiece
-Tokenization", arXiv 2012.15524, for the general technique).
+memoizes them per word across many texts, as the bytes a shard stores;
+web text is Zipfian and most words repeat. On a miss the scan after a
+word's start tries no fragment longer than the longest ``##`` piece
+(Song et al., "Fast WordPiece Tokenization", arXiv 2012.15524, for the
+general technique).
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Iterable
 
 from lusokit.errors import ConfigurationError
+from lusokit.packing import ID_TYPECODES, id_width
 
 CONTINUATION_PREFIX = "##"
 
 # Distinct words one word memo holds; past this, misses are
-# tokenized without being stored. A memoized word holds about 165 bytes,
-# so the memo stays under 6 MB; on a Zipfian crawl sample with 54k
-# distinct words the first 32k still answer 89% of lookups (91% uncapped).
+# tokenized without being stored. A memoized word holds about 153 bytes
+# (its str, its ids' bytes and its dict slot, by tracemalloc on the bench's
+# crawl corpora), so the memo stays under 5.1 MB; on a Zipfian crawl
+# sample with 54k distinct words the first 32k still answer 89% of
+# lookups (91% uncapped).
 WORD_CACHE_MAX = 1 << 15
 
 
@@ -84,9 +91,14 @@ class Vocabulary:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a vocabulary file (4-line specials header, then one piece per line)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    entries = [line for line in lines if line]
+    """Read a vocabulary file (4-line specials header, then one piece per line).
+
+    Lines end at "\n" (one "\r" before it is dropped) and nowhere else,
+    so a piece may hold any other character, even one ``str.splitlines``
+    breaks at; empty lines are skipped.
+    """
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    entries = [piece for line in lines if (piece := line.removesuffix("\r"))]
     if len(entries) < 4:
         raise ConfigurationError(
             f"vocabulary file {path} needs a 4-line specials header (cls, sep, pad, unk)"
@@ -139,30 +151,38 @@ def _tokenize_word(word: str, vocab: Vocabulary) -> tuple[int, ...]:
 
 
 def tokenize_flat(
-    texts: Iterable[str], vocab: Vocabulary, memo: dict[str, tuple[int, ...]]
-) -> tuple[list[int], list[int]]:
+    texts: Iterable[str], vocab: Vocabulary, memo: dict[str, bytes]
+) -> tuple[array, list[int]]:
     """Ids of many texts back to back, and each text's id count.
 
-    Text i's ids, cls and sep included, are the lengths[i] ids after the
-    first sum(lengths[:i]). memo maps a word to its ids; misses are added
-    to it until it holds WORD_CACHE_MAX words, so a caller that keeps
-    memo across calls keeps the words it learned. Each text's ids equal
-    ``tokenize`` on it.
+    The ids are an ``array`` of ``packing.id_width(len(vocab))``-byte
+    items ("H" or "i"), ready for ``packing.cap_rows``. Text i's ids, cls
+    and sep included, are the lengths[i] ids after the first
+    sum(lengths[:i]). memo maps a word to its ids as little-endian bytes
+    of that width; misses are added to it until it holds WORD_CACHE_MAX
+    words, so a caller that keeps memo across calls keeps the words it
+    learned. Each text's ids equal ``tokenize`` on it.
     """
-    ids: list[int] = []
+    width = id_width(len(vocab))
+    encode = struct.Struct(f"<{ID_TYPECODES[width]}").pack
+    cls, sep = encode(vocab.cls_id), encode(vocab.sep_id)
+    ids = array(ID_TYPECODES[width])
     lengths: list[int] = []
     for text in texts:
-        start = len(ids)
-        ids.append(vocab.cls_id)
+        row = [cls]
         for word in text.split():
             word_ids = memo.get(word)
             if word_ids is None:
-                word_ids = _tokenize_word(word, vocab)
+                word_ids = b"".join(map(encode, _tokenize_word(word, vocab)))
                 if len(memo) < WORD_CACHE_MAX:
                     memo[word] = word_ids
-            ids.extend(word_ids)
-        ids.append(vocab.sep_id)
-        lengths.append(len(ids) - start)
+            row.append(word_ids)
+        row.append(sep)
+        row_bytes = b"".join(row)
+        ids.frombytes(row_bytes)
+        lengths.append(len(row_bytes) // width)
+    if sys.byteorder == "big":  # the array holds native ids
+        ids.byteswap()
     return ids, lengths
 
 

@@ -9,7 +9,6 @@ retry will ever help).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
@@ -20,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol, Sequen
 from lusokit import jsonlog
 from lusokit.errors import ConfigurationError
 from lusokit.fanout import fan_out
+from lusokit.textutil import blake2b
 
 if TYPE_CHECKING:
     import requests
@@ -177,7 +177,7 @@ class TranslationCache:
 
 
 def _digest(text: str) -> bytes:
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=DIGEST_BYTES).digest()
+    return blake2b(text.encode("utf-8"), digest_size=DIGEST_BYTES).digest()
 
 
 def _cache_key(record: dict) -> Optional[tuple[str, bytes]]:

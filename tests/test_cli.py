@@ -197,6 +197,76 @@ def test_forking_corpus_command_loads_no_pool(tmp_path):
     assert run_python(code) == "0 2 []"
 
 
+@pytest.mark.parametrize("chunk_records, forked", [(1 << 20, False), (4, True)])
+def test_corpus_commands_load_no_openssl(tmp_path, chunk_records, forked):
+    # hashlib maps OpenSSL (_hashlib) into the process; the corpus commands
+    # and translate digest with the builtin BLAKE2b instead. Importing
+    # _hashlib raises an error hashlib does not catch, so an import in a
+    # forked worker fails the command.
+    rows = [corpus_row(i, sample_text(i)) for i in range(20)]
+    src = jsonl(tmp_path / "raw.jsonl", rows)
+    out = tmp_path
+    argvs = [
+        ["ingest", "--input", src, "--output", f"{out}/norm.jsonl"],
+        ["split-variant", "--input", f"{out}/norm.jsonl", "--output-ptpt", f"{out}/pt.jsonl",
+         "--output-ptbr", f"{out}/br.jsonl"],
+        ["curate", "--input", f"{out}/br.jsonl", "--output", f"{out}/kept.jsonl",
+         "--config", blocklist_config(tmp_path), "--rejects", f"{out}/rejects.jsonl"],
+        ["dedup", "--input", f"{out}/kept.jsonl", "--output", f"{out}/unique.jsonl"],
+        ["stats", "--input", f"{out}/unique.jsonl"],
+        ["pack", "--input", f"{out}/unique.jsonl", "--vocab", VOCAB, "--schedule", "16:100,32:50",
+         "--output-dir", f"{out}/packed"],
+        ["translate", "--input", f"{out}/unique.jsonl", "--output", f"{out}/mt.jsonl",
+         "--target", "PT-PT", "--fake", "--cache-dir", f"{out}/cache"],
+    ]
+    code = f"""
+import json, os, sys
+
+class NoOpenSSL:
+    def find_spec(self, name, path=None, target=None):
+        if name == "_hashlib":
+            raise RuntimeError("_hashlib imported")
+
+sys.meta_path.insert(0, NoOpenSSL())
+from lusokit import cli, fanout
+
+cli.CHUNK_RECORDS = {chunk_records}
+fanout.cpu_count = lambda: 2
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+runs = []
+for argv in {argvs!r}:
+    forks.clear()
+    runs.append((argv[0], cli.dispatch(argv), len(forks) > 0, '_hashlib' in sys.modules))
+print(json.dumps(runs))
+"""
+    runs = json.loads(run_python(code).splitlines()[-1])
+    corpus = [(name, 0, forked and name != "translate", False) for name, *_ in argvs]
+    assert [tuple(run) for run in runs] == corpus
+    assert len((out / "unique.jsonl").read_text().splitlines()) == len(rows)
+
+
+def test_one_blake2b_digests_as_hashlib_does():
+    from lusokit import textutil
+
+    assert textutil.blake2b is hashlib.blake2b
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(), line_no=st.integers(1, 10**9))
+def test_digests_equal_hashlib_blake2b(text, line_no):
+    from lusokit.corpus_io import _synth_id
+    from lusokit.curation import text_digest
+    from lusokit.translate import _digest
+
+    def digest(s, size):
+        return hashlib.blake2b(s.encode("utf-8"), digest_size=size)
+
+    assert _synth_id(text, line_no) == f"{digest(text, 6).hexdigest()}#{line_no}"
+    assert text_digest(text) == digest(" ".join(text.split()), 16).digest()
+    assert _digest(text) == digest(text, 16).digest()
+
+
 class TestPipelineCommands:
     def test_ingest_reports_and_writes(self, tmp_path, capsys):
         src = jsonl(tmp_path / "raw.jsonl", [corpus_row(i, sample_text(i)) for i in range(4)])

@@ -1,5 +1,6 @@
 """Greedy subword tokenization."""
 
+import struct
 from itertools import accumulate
 
 import pytest
@@ -44,6 +45,16 @@ class TestVocabulary:
         v = load_vocabulary(path)
         assert v.ids["ola"] == 4
         assert v.ids["##la"] == 5
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x85", "\v", "\f", "\u2028", "\u2029", "\r"])
+    def test_piece_may_hold_a_line_break_other_than_newline(self, tmp_path, sep):
+        # str.splitlines would cut "a<sep>b" in two and shift c's id by one;
+        # only "\n" ends a line, and one "\r" before it is dropped
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(f"[CLS]\r\n[SEP]\n[PAD]\n[UNK]\na{sep}b\r\nc\n".encode("utf-8"))
+        v = load_vocabulary(path)
+        assert v.pieces == ("[CLS]", "[SEP]", "[PAD]", "[UNK]", f"a{sep}b", "c")
+        assert v.ids["c"] == 5
 
     def test_header_too_short_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -133,6 +144,11 @@ _text = st.lists(
 ).map("".join)
 
 
+def decode(word_ids: bytes, width: int) -> tuple[int, ...]:
+    """A memo value's ids: little-endian, width bytes each."""
+    return struct.unpack(f"<{len(word_ids) // width}{'H' if width == 2 else 'i'}", word_ids)
+
+
 class TestTokenizeAll:
     @pytest.mark.parametrize("cache_max", [None, 2])
     @settings(max_examples=200, deadline=None)
@@ -171,3 +187,22 @@ class TestTokenizeAll:
                     del ids[:n]
         assert got == [reference_tokenize(text, v) for text in texts]
         assert len(memo) <= (cache_max or tokenizer.WORD_CACHE_MAX)
+        for word, word_ids in memo.items():
+            assert type(word_ids) is bytes
+            assert decode(word_ids, 2) == reference_tokenize(word, v)[1:-1]
+
+    def test_ids_are_four_bytes_past_65536_pieces(self):
+        # filler pieces push the used pieces to ids 65,534..65,536
+        filler = [f"\u2400{i}" for i in range((1 << 16) + 1 - 4 - 3)]
+        v = Vocabulary.build(filler + ["a", "##b", "b"])
+        texts = ["a ab b ba", "", "bbb x ab"]
+        memo = {}
+        ids, lengths = tokenize_flat(texts, v, memo)
+        assert ids.itemsize == 4 and max(ids) == 1 << 16
+        got = [tuple(ids[end - n : end]) for end, n in zip(accumulate(lengths), lengths)]
+        assert got == [reference_tokenize(text, v) for text in texts]
+        assert {word: decode(word_ids, 4) for word, word_ids in memo.items()} == {
+            word: reference_tokenize(word, v)[1:-1] for word in "a ab b ba bbb x".split()
+        }
+        narrow, _ = tokenize_flat(texts, vocab_from("a", "##b", "b"), {})
+        assert narrow.itemsize == 2
