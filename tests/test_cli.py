@@ -128,14 +128,10 @@ def test_fake_translate_leaves_requests_unloaded(tmp_path):
     assert run_python(code) == "0 False"
 
 
-def test_pack_and_packing_import_leave_numpy_unloaded(tmp_path):
-    # no corpus command imports numpy, in its own process or in the forked
-    # workers of a multi-chunk input (an import there raises); only the
-    # dense PackedBatch functions of lusokit.packing import it
-    rows = [corpus_row(i, sample_text(i)) for i in range(20)]
-    src = jsonl(tmp_path / "raw.jsonl", rows)
-    out = tmp_path
-    argvs = [
+def corpus_chain(src, out):
+    """The argvs of ingest through pack over src, each reading the one
+    before it, with every output under out."""
+    return [
         ["ingest", "--input", src, "--output", f"{out}/norm.jsonl"],
         ["split-variant", "--input", f"{out}/norm.jsonl", "--output-ptpt", f"{out}/pt.jsonl",
          "--output-ptbr", f"{out}/br.jsonl"],
@@ -145,6 +141,15 @@ def test_pack_and_packing_import_leave_numpy_unloaded(tmp_path):
         ["pack", "--input", f"{out}/unique.jsonl", "--vocab", VOCAB, "--schedule", "16:100,32:50",
          "--output-dir", f"{out}/packed"],
     ]
+
+
+def test_pack_and_packing_import_leave_numpy_unloaded(tmp_path):
+    # no corpus command imports numpy, in its own process or in the forked
+    # workers of a multi-chunk input (an import there raises); only the
+    # dense PackedBatch functions of lusokit.packing import it
+    rows = [corpus_row(i, sample_text(i)) for i in range(20)]
+    out = tmp_path
+    argvs = corpus_chain(jsonl(tmp_path / "raw.jsonl", rows), out)
     code = f"""
 import json, os, sys
 
@@ -204,18 +209,8 @@ def test_corpus_commands_load_no_openssl(tmp_path, chunk_records, forked):
     # _hashlib raises an error hashlib does not catch, so an import in a
     # forked worker fails the command.
     rows = [corpus_row(i, sample_text(i)) for i in range(20)]
-    src = jsonl(tmp_path / "raw.jsonl", rows)
     out = tmp_path
-    argvs = [
-        ["ingest", "--input", src, "--output", f"{out}/norm.jsonl"],
-        ["split-variant", "--input", f"{out}/norm.jsonl", "--output-ptpt", f"{out}/pt.jsonl",
-         "--output-ptbr", f"{out}/br.jsonl"],
-        ["curate", "--input", f"{out}/br.jsonl", "--output", f"{out}/kept.jsonl",
-         "--config", blocklist_config(tmp_path), "--rejects", f"{out}/rejects.jsonl"],
-        ["dedup", "--input", f"{out}/kept.jsonl", "--output", f"{out}/unique.jsonl"],
-        ["stats", "--input", f"{out}/unique.jsonl"],
-        ["pack", "--input", f"{out}/unique.jsonl", "--vocab", VOCAB, "--schedule", "16:100,32:50",
-         "--output-dir", f"{out}/packed"],
+    argvs = corpus_chain(jsonl(tmp_path / "raw.jsonl", rows), out) + [
         ["translate", "--input", f"{out}/unique.jsonl", "--output", f"{out}/mt.jsonl",
          "--target", "PT-PT", "--fake", "--cache-dir", f"{out}/cache"],
     ]
