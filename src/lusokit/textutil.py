@@ -7,18 +7,16 @@ words with ``word_count``, and the quality rules and the tokenizer call
 
 ``blake2b`` is the one BLAKE2b the toolkit digests text with (record
 ids, dedup keys, translate cache keys): CPython's builtin ``_blake2``
-class, which is what ``hashlib.blake2b`` hands out too, so every digest
-is the same, but importing it maps no OpenSSL into the process.
+class, which is the class ``hashlib.blake2b`` returns (hashlib never
+takes BLAKE2b from OpenSSL), so every digest is the same, but importing
+it maps no OpenSSL into the process.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-try:
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without the builtin module
-    from hashlib import blake2b
+from _blake2 import blake2b
 
 
 def word_count(text: str) -> int:

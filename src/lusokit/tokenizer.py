@@ -13,7 +13,7 @@ unk id. Any tokenizer producing id sequences can be substituted
 downstream, since packing takes flat ids and row lengths.
 
 A pre-token's ids do not depend on its neighbours, so ``tokenize_flat``
-memoizes them per word across many texts, as the bytes a shard stores;
+memoizes them per word across many texts, as the bytes of an id array;
 web text is Zipfian and most words repeat. On a miss the scan after a
 word's start tries no fragment longer than the longest ``##`` piece
 (Song et al., "Fast WordPiece Tokenization", arXiv 2012.15524, for the
@@ -22,8 +22,6 @@ general technique).
 
 from __future__ import annotations
 
-import struct
-import sys
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,22 +156,24 @@ def tokenize_flat(
     The ids are an ``array`` of ``packing.id_width(len(vocab))``-byte
     items ("H" or "i"), ready for ``packing.cap_rows``. Text i's ids, cls
     and sep included, are the lengths[i] ids after the first
-    sum(lengths[:i]). memo maps a word to its ids as little-endian bytes
-    of that width; misses are added to it until it holds WORD_CACHE_MAX
-    words, so a caller that keeps memo across calls keeps the words it
-    learned. Each text's ids equal ``tokenize`` on it.
+    sum(lengths[:i]). memo maps a word to its ids as an array of that
+    width gives them from ``tobytes`` (native byte order; ``cap_rows``
+    makes the shard's little-endian bytes); misses are added to it until
+    it holds WORD_CACHE_MAX words, so a caller that keeps memo across
+    calls keeps the words it learned. Each text's ids equal ``tokenize``
+    on it.
     """
     width = id_width(len(vocab))
-    encode = struct.Struct(f"<{ID_TYPECODES[width]}").pack
-    cls, sep = encode(vocab.cls_id), encode(vocab.sep_id)
-    ids = array(ID_TYPECODES[width])
+    typecode = ID_TYPECODES[width]
+    cls, sep = (array(typecode, (i,)).tobytes() for i in (vocab.cls_id, vocab.sep_id))
+    ids = array(typecode)
     lengths: list[int] = []
     for text in texts:
         row = [cls]
         for word in text.split():
             word_ids = memo.get(word)
             if word_ids is None:
-                word_ids = b"".join(map(encode, _tokenize_word(word, vocab)))
+                word_ids = array(typecode, _tokenize_word(word, vocab)).tobytes()
                 if len(memo) < WORD_CACHE_MAX:
                     memo[word] = word_ids
             row.append(word_ids)
@@ -181,8 +181,6 @@ def tokenize_flat(
         row_bytes = b"".join(row)
         ids.frombytes(row_bytes)
         lengths.append(len(row_bytes) // width)
-    if sys.byteorder == "big":  # the array holds native ids
-        ids.byteswap()
     return ids, lengths
 
 

@@ -1,6 +1,6 @@
 """Greedy subword tokenization."""
 
-import struct
+from array import array
 from itertools import accumulate
 
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import reference_tokenize
 from lusokit import tokenizer
 from lusokit.errors import ConfigurationError
+from lusokit.packing import ID_TYPECODES
 from lusokit.tokenizer import (
     Vocabulary,
     load_vocabulary,
@@ -145,8 +146,10 @@ _text = st.lists(
 
 
 def decode(word_ids: bytes, width: int) -> tuple[int, ...]:
-    """A memo value's ids: little-endian, width bytes each."""
-    return struct.unpack(f"<{len(word_ids) // width}{'H' if width == 2 else 'i'}", word_ids)
+    """A memo value's ids: native-order, width bytes each."""
+    ids = array(ID_TYPECODES[width])
+    ids.frombytes(word_ids)
+    return tuple(ids)
 
 
 class TestTokenizeAll:
