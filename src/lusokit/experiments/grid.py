@@ -13,7 +13,6 @@ template's placeholders all derive from them.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -26,6 +25,7 @@ import yaml
 from lusokit import DEFAULT_SPLIT_SEED
 from lusokit.benchmarks import TASKS, TaskSpec
 from lusokit.errors import ConfigurationError
+from lusokit.textutil import sha256
 from lusokit.variants import Variant
 
 
@@ -156,7 +156,7 @@ class RunConfig:
     def run_key(self) -> str:
         """Stable 16-hex-digit identity of the run, hashed once per config."""
         joined = "\x1f".join(self.key_fields().values())
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
+        return sha256(joined.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict:
         return {"run_key": self.run_key, **{f.name: getattr(self, f.name) for f in fields(self)}}

@@ -93,7 +93,7 @@ def _invoke(cmd: list[str], task: str, timeout: Optional[float]) -> tuple:
     """(dev, test, None) from a successful trainer call, else (None, None, error)."""
     try:
         proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=timeout
+            cmd, capture_output=True, encoding="utf-8", errors="replace", timeout=timeout
         )
     except FileNotFoundError:
         return None, None, f"trainer executable not found: {cmd[0]}"

@@ -15,18 +15,18 @@ Run as: python3 -m lusokit.faketrainer --run-key ... [flags]
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
 
 from lusokit import jsonlog
+from lusokit.textutil import sha256
 
 
 def _unit_interval(key: str, salt: str) -> float:
     """Deterministic float in [0, 1) from a key and salt."""
-    digest = hashlib.sha256(f"{key}|{salt}".encode("utf-8")).hexdigest()
+    digest = sha256(f"{key}|{salt}".encode("utf-8")).hexdigest()
     return int(digest[:12], 16) / float(16**12)
 
 

@@ -93,9 +93,10 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
     Lines end at "\n" (one "\r" before it is dropped) and nowhere else,
     so a piece may hold any other character, even one ``str.splitlines``
-    breaks at; empty lines are skipped.
+    breaks at; empty lines are skipped. One leading byte order mark is
+    dropped.
     """
-    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    lines = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff").split("\n")
     entries = [piece for line in lines if (piece := line.removesuffix("\r"))]
     if len(entries) < 4:
         raise ConfigurationError(

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -202,20 +203,10 @@ def test_forking_corpus_command_loads_no_pool(tmp_path):
     assert run_python(code) == "0 2 []"
 
 
-@pytest.mark.parametrize("chunk_records, forked", [(1 << 20, False), (4, True)])
-def test_corpus_commands_load_no_openssl(tmp_path, chunk_records, forked):
-    # hashlib maps OpenSSL (_hashlib) into the process; the corpus commands
-    # and translate digest with the builtin BLAKE2b instead. Importing
-    # _hashlib raises an error hashlib does not catch, so an import in a
-    # forked worker fails the command.
-    rows = [corpus_row(i, sample_text(i)) for i in range(20)]
-    out = tmp_path
-    argvs = corpus_chain(jsonl(tmp_path / "raw.jsonl", rows), out) + [
-        ["translate", "--input", f"{out}/unique.jsonl", "--output", f"{out}/mt.jsonl",
-         "--target", "PT-PT", "--fake", "--cache-dir", f"{out}/cache"],
-    ]
-    code = f"""
-import json, os, sys
+# Importing _hashlib (hashlib's OpenSSL half) raises an error hashlib does
+# not catch, so a command or trainer that loads OpenSSL fails.
+NO_OPENSSL = """
+import sys
 
 class NoOpenSSL:
     def find_spec(self, name, path=None, target=None):
@@ -223,6 +214,21 @@ class NoOpenSSL:
             raise RuntimeError("_hashlib imported")
 
 sys.meta_path.insert(0, NoOpenSSL())
+"""
+
+
+@pytest.mark.parametrize("chunk_records, forked", [(1 << 20, False), (4, True)])
+def test_corpus_commands_load_no_openssl(tmp_path, chunk_records, forked):
+    # the corpus commands and translate digest with the builtin BLAKE2b;
+    # an import of _hashlib in a forked worker fails the command
+    rows = [corpus_row(i, sample_text(i)) for i in range(20)]
+    out = tmp_path
+    argvs = corpus_chain(jsonl(tmp_path / "raw.jsonl", rows), out) + [
+        ["translate", "--input", f"{out}/unique.jsonl", "--output", f"{out}/mt.jsonl",
+         "--target", "PT-PT", "--fake", "--cache-dir", f"{out}/cache"],
+    ]
+    code = NO_OPENSSL + f"""
+import json, os
 from lusokit import cli, fanout
 
 cli.CHUNK_RECORDS = {chunk_records}
@@ -239,6 +245,44 @@ print(json.dumps(runs))
     corpus = [(name, 0, forked and name != "translate", False) for name, *_ in argvs]
     assert [tuple(run) for run in runs] == corpus
     assert len((out / "unique.jsonl").read_text().splitlines()) == len(rows)
+
+
+def test_eval_commands_load_no_openssl(tmp_path):
+    # run keys and the stand-in trainer's scores take SHA-256 from the
+    # builtin module; the trainer runs under the same finder, so a trainer
+    # that loaded OpenSSL would fail its run
+    trainer = tmp_path / "trainer.py"
+    trainer.write_text(NO_OPENSSL + "from lusokit.faketrainer import main\nsys.exit(main())\n",
+                       encoding="utf-8")
+    template = TRAINER_TEMPLATE.replace("-m lusokit.faketrainer", str(trainer))
+    roster = tmp_path / "roster.yaml"
+    roster.write_text(MINI_ROSTER, encoding="utf-8")
+    gold = jsonl(tmp_path / "rte.jsonl", [
+        {"id": f"e{i}", "sentence1": f"frase {i}", "sentence2": f"outra {i}", "label": i % 2}
+        for i in range(10)
+    ])
+    preds = jsonl(tmp_path / "pred.jsonl", [{"id": f"e{i}", "prediction": 1} for i in range(10)])
+    store = f"{tmp_path}/store"
+    argvs = [
+        ["validate", "--input", gold, "--task", "rte"],
+        ["split", "--input", gold, "--task", "rte", "--seed", "13",
+         "--output-train", f"{tmp_path}/train.jsonl", "--output-dev", f"{tmp_path}/dev.jsonl"],
+        ["matrix", "--models", str(roster), "--output", f"{tmp_path}/runs.jsonl"],
+        ["run", "--models", str(roster), "--template", template, "--store", store,
+         "--tasks", "rte", "--max-workers", "2"],
+        ["report", "--models", str(roster), "--store", store, "--tasks", "rte"],
+        ["score", "--gold", gold, "--pred", preds, "--task", "rte"],
+    ]
+    code = NO_OPENSSL + f"""
+import json
+from lusokit import cli
+runs = [(argv[0], cli.dispatch(argv), '_hashlib' in sys.modules) for argv in {argvs!r}]
+print(json.dumps(runs))
+"""
+    runs = json.loads(run_python(code).splitlines()[-1])
+    assert [tuple(run) for run in runs] == [(argv[0], 0, False) for argv in argvs]
+    records = ResultsStore(store).load().values()
+    assert len(records) == 36 and {r["status"] for r in records} == {"ok"}
 
 
 def test_one_blake2b_digests_as_hashlib_does():
@@ -1141,9 +1185,6 @@ class TestExperimentCommands:
         assert "m1" in captured.out
 
     def test_each_run_key_is_hashed_once(self, tmp_path, capsys, monkeypatch):
-        import hashlib
-        from types import SimpleNamespace
-
         from lusokit.experiments import grid
 
         hashed = []
@@ -1152,7 +1193,7 @@ class TestExperimentCommands:
             hashed.append(data)
             return hashlib.sha256(data)
 
-        monkeypatch.setattr(grid, "hashlib", SimpleNamespace(sha256=counting_sha256))
+        monkeypatch.setattr(grid, "sha256", counting_sha256)
         roster = self._roster(tmp_path)
         store = str(tmp_path / "store")
         template = ("sh -c 'echo dev=0.5 test=0.5' sh {run_key} {model} {task} {lr} "
@@ -1196,6 +1237,22 @@ class TestExperimentCommands:
         invoked = [json.loads(line)["run_key"] for line in log.read_text().splitlines()]
         assert len(invoked) == len(set(invoked)) == 35 and held not in invoked
         holder.release(held)
+
+    @pytest.mark.parametrize("script, status, error", [
+        ("printf '\\377\\376bad\\n' >&2; echo dev=0.5 test=0.5", "ok", None),
+        ("printf '\\377\\376\\n'", "failed", "no 'dev=<float> test=<float>' line in trainer output"),
+    ], ids=["bad-stderr", "garbage-stdout"])
+    def test_trainer_output_that_is_not_utf8_is_recorded(self, tmp_path, capsys, script, status, error):
+        # undecodable bytes are replaced; they never stop the run
+        template = (f"sh -c {shlex.quote(script)} sh {{run_key}} {{model}} {{task}} {{lr}} "
+                    "{dropout} {bf16} {seed} {split_seed}")
+        store = tmp_path / "store"
+        code = dispatch(["run", "--models", self._roster(tmp_path), "--template", template,
+                         "--store", str(store), "--tasks", "rte", "--max-workers", "2"])
+        assert code == (0 if status == "ok" else 1)
+        records = ResultsStore(store).load().values()
+        assert len(records) == 36
+        assert {(r["status"], r["error"]) for r in records} == {(status, error)}
 
     def test_run_failures_exit_one(self, tmp_path, capsys):
         roster = self._roster(tmp_path)

@@ -38,6 +38,7 @@ from lusokit.experiments.runner import (
 )
 from lusokit.experiments.store import ResultsStore
 from lusokit.faketrainer import scores_for
+from lusokit.textutil import sha256
 from lusokit.variants import Variant
 
 from helpers import oracle_aggregate
@@ -117,6 +118,27 @@ class TestMatrix:
             dict(split_seed=14),
         ):
             assert make_run_key(cfg(**change)) != make_run_key(base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fields=st.tuples(
+            st.text(), st.sampled_from(sorted(TASKS)), st.floats(allow_nan=False),
+            st.floats(allow_nan=False), st.booleans(), st.integers(), st.integers(),
+        ),
+        data=st.binary(),
+    )
+    def test_digests_equal_hashlib_sha256(self, fields, data):
+        # run keys and trainer scores come from textutil's builtin SHA-256
+        config = RunConfig(*fields)
+        joined = "\x1f".join(config.key_fields().values())
+        assert config.run_key == hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
+
+        def unit(salt):
+            digest = hashlib.sha256(f"{config.run_key}|{salt}".encode("utf-8")).hexdigest()
+            return int(digest[:12], 16) / float(16**12)
+
+        assert scores_for(config.run_key) == (unit("dev"), unit("test"))
+        assert sha256(data).digest() == hashlib.sha256(data).digest()
 
     def test_expected_count_matches_materialized(self):
         models = [model(), model(name="m2", size=SizeClass.S100M, multi=False)]

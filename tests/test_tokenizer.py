@@ -57,6 +57,13 @@ class TestVocabulary:
         assert v.pieces == ("[CLS]", "[SEP]", "[PAD]", "[UNK]", f"a{sep}b", "c")
         assert v.ids["c"] == 5
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # one BOM goes, as the corpus readers drop it; a second is a piece's
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"\xef\xbb\xbf[CLS]\n[SEP]\n[PAD]\n[UNK]\n\xef\xbb\xbfola\n")
+        v = load_vocabulary(path)
+        assert v.pieces == ("[CLS]", "[SEP]", "[PAD]", "[UNK]", "\ufeffola")
+
     def test_header_too_short_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("[CLS]\n[SEP]\n", encoding="utf-8")
