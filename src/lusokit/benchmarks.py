@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from lusokit.errors import DataError
+from lusokit.textutil import utf8_lines
 from lusokit.variants import Variant
 
 
@@ -190,19 +191,18 @@ def validate_examples(
 def read_jsonl_rows(path: str | Path) -> Iterator[tuple[int, object]]:
     """(line number, parsed value) for each non-blank line of a JSONL file.
 
-    A line that is not JSON raises DataError with its line number; what
-    a row must hold is the caller's check.
+    A line (up to its "\n") that is not UTF-8 or not JSON raises DataError
+    with its line number; what a row must hold is the caller's check.
     """
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
-            yield line_no, obj
+    for line_no, line in enumerate(utf8_lines(path, DataError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
+        yield line_no, obj
 
 
 def read_task_examples(path: str | Path) -> list[TaskExample]:

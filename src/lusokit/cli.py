@@ -47,11 +47,20 @@ log = logging.getLogger("lusokit")
 CHUNK_RECORDS = 256
 
 
-def _same_file(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except FileNotFoundError:
-        return Path(a).resolve() == Path(b).resolve()
+def _check_outputs(path: str, outputs: Sequence[Optional[str]]) -> None:
+    """Refuse an output that is the input at path or another output: the same
+    regular file or path not made yet (so /dev/null may be named twice)."""
+    named = [out for out in outputs if out]
+    for i, out in enumerate(named):
+        for other in [path, *named[:i]]:
+            try:
+                a, b = os.stat(out), os.stat(other)
+            except FileNotFoundError:
+                same = Path(out).resolve() == Path(other).resolve()
+            else:
+                same = stat.S_ISREG(a.st_mode) and os.path.samestat(a, b)
+            if same:
+                raise ConfigurationError(f"output {out} is the same file as {other}")
 
 
 def _map_corpus(
@@ -73,11 +82,7 @@ def _map_corpus(
     """
     from lusokit.fanout import process_map
 
-    named = [out for out in outputs if out]
-    for i, out in enumerate(named):
-        for other in [path, *named[:i]]:
-            if _same_file(out, other):
-                raise ConfigurationError(f"output {out} is the same file as {other}")
+    _check_outputs(path, outputs)
     handle = open(path, "rb")  # an unreadable input fails here, before any output exists
     rereadable = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
     report = IngestReport()
@@ -159,13 +164,10 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from lusokit.config import PipelineConfig
-    from lusokit.curation import Blocklist, FilterConfig, curate_stream
+    from lusokit.curation import curate_stream
 
-    if args.config:
-        pipeline_cfg = PipelineConfig.load(args.config)
-        filter_cfg, blocklist = pipeline_cfg.make_filter_config(), pipeline_cfg.make_blocklist()
-    else:
-        filter_cfg, blocklist = FilterConfig.default(), Blocklist()
+    pipeline_cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
+    filter_cfg, blocklist = pipeline_cfg.make_filter_config(), pipeline_cfg.make_blocklist()
 
     def curate(records):
         rows = []
@@ -256,27 +258,20 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
     chunks, _ = _map_corpus(args.input, tokenize_chunk)
 
-    # The top stage's shard streams to a partial file and is renamed into
-    # place once complete; each smaller stage is then a cap view of it,
-    # and the manifest comes last.
+    # The top stage's shard appears whole once written (ShardWriter); each
+    # smaller stage is then a cap view of it, and the manifest comes last.
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = out_dir / f"stage_{top}.bin"
-    partial = out_dir / f"{base.name}.partial"
-    truncated_at_top = 0
-    try:
-        with ShardWriter(partial, top, vocab.pad_id, len(vocab)) as writer:
-            for ids, kept, cut in chunks:
-                writer.append(ids, kept)
-                truncated_at_top += cut
-            if not writer.rows:
-                raise DataError(f"{args.input} has no records to pack")
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
     manifest_path = out_dir / "manifest.json"
-    manifest_path.unlink(missing_ok=True)
-    os.replace(partial, base)
+    truncated_at_top = 0
+    with ShardWriter(base, top, vocab.pad_id, len(vocab)) as writer:
+        for ids, kept, cut in chunks:
+            writer.append(ids, kept)
+            truncated_at_top += cut
+        if not writer.rows:
+            raise DataError(f"{args.input} has no records to pack")
+        manifest_path.unlink(missing_ok=True)
     for cap in caps[:-1]:
         write_view(out_dir / f"stage_{cap}.bin", base, cap)
     # Capping a row at top, then at a smaller cap, caps it at that cap.
@@ -326,6 +321,7 @@ def _require_task(name: str):
 def _cmd_split(args: argparse.Namespace) -> int:
     from lusokit.benchmarks import read_task_examples, split_90_10, validate_examples, write_task_examples
 
+    _check_outputs(args.input, [args.output_train, args.output_dev])
     spec = _require_task(args.task)
     examples = read_task_examples(args.input)
     _, violations = validate_examples(examples, spec)
@@ -360,6 +356,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         translate_dataset,
     )
 
+    _check_outputs(args.input, [args.output])
     for flag, value in (("--batch-size", args.batch_size), ("--max-workers", args.max_workers)):
         if value < 1:
             raise ConfigurationError(f"{flag} must be positive, got {value}")

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import yaml
-
-from lusokit.curation import Blocklist, FilterConfig, load_default_stopwords
+from lusokit.curation import Blocklist, FilterConfig, load_default_stopwords, parse_list
 from lusokit.errors import ConfigurationError
+from lusokit.textutil import utf8_lines
 
 _TOP_KEYS = {"curation", "blocklist"}
 
@@ -28,24 +27,12 @@ _SECTION_KEYS = {
     "blocklist": {"exact_file", "suffix_file"},
 }
 
-_PATH_KEYS = {
-    "stopword_file",
-    "flagged_words_file",
-    "exact_file",
-    "suffix_file",
-}
+_PATH_KEYS = {key for keys in _SECTION_KEYS.values() for key in keys if key.endswith("_file")}
 
 
 def load_list(path: str | Path) -> frozenset[str]:
-    """One word or domain per line, lowercased (the quality rules look up
-    lowercased words, and hostnames are compared lowercased); blanks and
-    '#' comment lines are skipped."""
-    out = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        entry = line.strip().lower()
-        if entry and not entry.startswith("#"):
-            out.add(entry)
-    return frozenset(out)
+    """The entries of a word or domain list file, by ``parse_list``."""
+    return parse_list("".join(utf8_lines(path, ConfigurationError)))
 
 
 @dataclass(frozen=True)
@@ -57,9 +44,11 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
+        import yaml  # here, so curate without --config loads no YAML parser
+
         path = Path(path)
         try:
-            raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+            raw = yaml.safe_load("".join(utf8_lines(path, ConfigurationError)))
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"config {path} is not valid YAML: {exc}") from None
         if raw is None:
@@ -102,19 +91,15 @@ class PipelineConfig:
         return cls(curation=sections["curation"], blocklist=sections["blocklist"])
 
     def make_filter_config(self) -> FilterConfig:
-        """Build quality-rule settings, defaults filled from the package."""
+        """Quality-rule settings; unnamed lists are the package's stopwords and no flagged words."""
         section = dict(self.curation)
-        stopwords = (
-            load_list(section.pop("stopword_file"))
-            if "stopword_file" in section
-            else load_default_stopwords()
+        stopwords = section.pop("stopword_file", None)
+        flagged = section.pop("flagged_words_file", None)
+        return FilterConfig(
+            **section,
+            stopword_list=load_list(stopwords) if stopwords else load_default_stopwords(),
+            flagged_word_list=load_list(flagged) if flagged else frozenset(),
         )
-        flagged = (
-            load_list(section.pop("flagged_words_file"))
-            if "flagged_words_file" in section
-            else frozenset()
-        )
-        return FilterConfig(**section, stopword_list=stopwords, flagged_word_list=flagged)
 
     def make_blocklist(self) -> Blocklist:
         exact, suffix = (

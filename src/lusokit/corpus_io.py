@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from lusokit.textutil import blake2b
+from lusokit.textutil import BOM, blake2b
 
 log = logging.getLogger(__name__)
 
@@ -108,9 +108,6 @@ def read_records(
     return parse_units(units(), 0, format, default_source, path.name)
 
 
-_BOM = b"\xef\xbb\xbf"
-
-
 def _check_format(format: str) -> None:
     if format not in (FORMAT_LINE_DELIMITED, FORMAT_PLAIN_TEXT_BLOCKS):
         raise ValueError(f"unknown corpus format: {format!r}")
@@ -118,7 +115,7 @@ def _check_format(format: str) -> None:
 
 def _decode(raw: bytes, file_start: bool) -> str:
     """Text of raw bytes; at the start of a file, without one leading byte order mark."""
-    return (raw.removeprefix(_BOM) if file_start else raw).decode("utf-8", errors="replace")
+    return (raw.removeprefix(BOM) if file_start else raw).decode("utf-8", errors="replace")
 
 
 def read_units(handle: BinaryIO, format: str = FORMAT_LINE_DELIMITED) -> Iterator[bytes]:

@@ -43,10 +43,17 @@ QUALITY_EXEMPT_SOURCES = frozenset({Source.CULTURAX})
 _PLAIN_LATIN1 = bytes(b for b in range(256) if chr(b).isalnum() or chr(b).isspace())
 
 
+def parse_list(text: str) -> frozenset[str]:
+    """A word or domain list's entries: one per line, stripped and lowercased (words and
+    hostnames are looked up lowercased); blank and '#' comment lines are skipped."""
+    entries = (line.strip().lower() for line in text.splitlines())
+    return frozenset(e for e in entries if e and not e.startswith("#"))
+
+
 def load_default_stopwords() -> frozenset[str]:
     """Bundled list of high-frequency Portuguese function words."""
     data = resources.files("lusokit.data").joinpath("stopwords_pt.txt").read_text("utf-8")
-    return frozenset(w.strip() for w in data.splitlines() if w.strip())
+    return parse_list(data)
 
 
 @dataclass(frozen=True)
@@ -95,10 +102,6 @@ class FilterConfig:
                     raise ConfigurationError(
                         f"{name} entries must be lowercase, got {entry!r}"
                     )
-
-    @classmethod
-    def default(cls) -> "FilterConfig":
-        return cls(stopword_list=load_default_stopwords())
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,7 +279,7 @@ class CurationStats:
 def curate_stream(
     records: Iterable[CorpusRecord],
     cfg: FilterConfig,
-    blocklist: Blocklist | None = None,
+    blocklist: Blocklist,
     on_reject=None,
 ) -> tuple[Iterator[CorpusRecord], CurationStats]:
     """Blocklist plus quality rules over a record stream.
@@ -291,7 +294,7 @@ def curate_stream(
 
     def stream() -> Iterator[CorpusRecord]:
         for record in records:
-            if blocklist is not None and not apply_blocklist(record, blocklist):
+            if not apply_blocklist(record, blocklist):
                 stats.blocklisted += 1
                 if on_reject:
                     on_reject(record, "blocklist", None)

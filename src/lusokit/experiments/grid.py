@@ -25,7 +25,7 @@ import yaml
 from lusokit import DEFAULT_SPLIT_SEED
 from lusokit.benchmarks import TASKS, TaskSpec
 from lusokit.errors import ConfigurationError
-from lusokit.textutil import sha256
+from lusokit.textutil import sha256, utf8_lines
 from lusokit.variants import Variant
 
 
@@ -72,7 +72,7 @@ def load_roster(path: str | Path) -> list[ModelEntry]:
     otherwise.
     """
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.safe_load("".join(utf8_lines(path, ConfigurationError)))
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"roster {path} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict) or "models" not in raw:

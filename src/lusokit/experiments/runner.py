@@ -160,6 +160,8 @@ def run_matrix(
     """
     if max_workers < 1:
         raise ConfigurationError(f"max_workers must be positive, got {max_workers}")
+    if timeout is not None and not timeout > 0:  # NaN too
+        raise ConfigurationError(f"timeout must be positive, got {timeout}")
     validate_template(template)
     done = store.completed_keys()
     to_run = [cfg for cfg in configs if cfg.run_key not in done]

@@ -177,11 +177,12 @@ def cap_rows(
 class ShardWriter:
     """Streams one stage shard to path: append rows, then close.
 
-    Ids are ``width = id_width(vocab_size)`` bytes each and go to disk
-    as they are appended; only the kept lengths stay in memory (4 bytes
-    a row) until close writes them as the footer and rewrites the header
-    with the row count. Used as a context manager, it closes on a clean
-    exit and removes its partial file when the block raises.
+    Ids are ``width = id_width(vocab_size)`` bytes each and go to
+    ``<path>.partial`` as they are appended; only the kept lengths stay in
+    memory (4 bytes a row) until close writes them as the footer, rewrites
+    the header with the row count and renames the file onto path. As a context
+    manager it closes on a clean exit; if the block or close raises, it
+    removes the partial file and path keeps its old bytes.
     """
 
     def __init__(
@@ -194,7 +195,8 @@ class ShardWriter:
         self.stage_max_len = stage_max_len
         self.pad_id = pad_id
         self.lengths = array("I")
-        self._file = self.path.open("wb")
+        self._partial = self.path.with_name(f"{self.path.name}.partial")
+        self._file = self._partial.open("wb")
         self._file.write(self._header())
 
     def _header(self) -> bytes:
@@ -232,16 +234,18 @@ class ShardWriter:
             self._file.write(footer.tobytes())
             self._file.seek(0)
             self._file.write(self._header())
+        os.replace(self._partial, self.path)
 
     def __enter__(self) -> "ShardWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
+        try:
+            if exc_type is None:
+                self.close()
+        finally:  # the block or close raised if the partial file is still there
             self._file.close()
-            self.path.unlink(missing_ok=True)
+            self._partial.unlink(missing_ok=True)
 
 
 def plan_device_split(global_batch: int, devices: int) -> int:

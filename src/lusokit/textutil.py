@@ -20,7 +20,8 @@ interpreter built without that module (some FIPS builds) takes it from
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 from _blake2 import blake2b
 
@@ -31,6 +32,8 @@ except ImportError:
         from _sha256 import sha256
     except ImportError:
         from hashlib import sha256
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte order mark
 
 
 def word_count(text: str) -> int:
@@ -45,3 +48,16 @@ def normalize_whitespace(text: str) -> str:
 def render_tsv_rows(rows: Iterable[Sequence[str]]) -> str:
     """Rows of cells as tab-separated lines, without a trailing newline."""
     return "\n".join("\t".join(row) for row in rows)
+
+
+def utf8_lines(path: str | Path, error: type[Exception]) -> Iterator[str]:
+    """Lines of a small input file (vocabulary, config, list, roster, task file), each
+    up to its "\n": UTF-8 after one leading BOM. Bytes that are not UTF-8 raise error
+    naming the file and the line."""
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            raw = raw.removeprefix(BOM) if line_no == 1 else raw
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{line_no}: not UTF-8 (byte 0x{raw[exc.start]:02x})") from None

@@ -29,6 +29,7 @@ from typing import ClassVar, Iterable
 
 from lusokit.errors import ConfigurationError
 from lusokit.packing import ID_TYPECODES, id_width
+from lusokit.textutil import utf8_lines
 
 CONTINUATION_PREFIX = "##"
 
@@ -79,13 +80,9 @@ class Vocabulary:
         return self.pieces[token_id]
 
     @classmethod
-    def build(
-        cls,
-        content_pieces: list[str] | tuple[str, ...],
-        specials: tuple[str, str, str, str] = ("[CLS]", "[SEP]", "[PAD]", "[UNK]"),
-    ) -> "Vocabulary":
-        """Vocabulary from content pieces, specials prepended as ids 0..3."""
-        return cls(tuple(specials) + tuple(content_pieces))
+    def build(cls, content_pieces: list[str] | tuple[str, ...]) -> "Vocabulary":
+        """Vocabulary from content pieces, [CLS] [SEP] [PAD] [UNK] prepended as ids 0..3."""
+        return cls(("[CLS]", "[SEP]", "[PAD]", "[UNK]", *content_pieces))
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
@@ -93,16 +90,14 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
     Lines end at "\n" (one "\r" before it is dropped) and nowhere else,
     so a piece may hold any other character, even one ``str.splitlines``
-    breaks at; empty lines are skipped. One leading byte order mark is
-    dropped.
+    breaks at; empty lines are skipped. ``utf8_lines`` drops one leading BOM.
     """
-    lines = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff").split("\n")
-    entries = [piece for line in lines if (piece := line.removesuffix("\r"))]
-    if len(entries) < 4:
-        raise ConfigurationError(
-            f"vocabulary file {path} needs a 4-line specials header (cls, sep, pad, unk)"
-        )
-    return Vocabulary.build(entries[4:], specials=tuple(entries[:4]))  # type: ignore[arg-type]
+    lines = utf8_lines(path, ConfigurationError)
+    entries = [piece for line in lines if (piece := line.removesuffix("\n").removesuffix("\r"))]
+    try:
+        return Vocabulary(tuple(entries))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"vocabulary file {path}: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)

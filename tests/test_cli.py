@@ -367,6 +367,42 @@ class TestPipelineCommands:
         assert err.startswith("error:") and key in err
         assert not out.exists()
 
+    def test_curate_without_config_is_the_empty_config(self, tmp_path, capsys):
+        rng = random.Random(7)
+        rows = [corpus_row(i, sample_text(i)) for i in range(4)] + [
+            corpus_row(4 + i, rule_violating_text(rule, rng, "cli"))
+            for i, rule in enumerate(["min_words", "stopword", "special_char"])
+        ]
+        src = jsonl(tmp_path / "in.jsonl", rows)
+        empty = tmp_path / "empty.yaml"
+        empty.write_text("", encoding="utf-8")
+        seen = []
+        for name, config in [("none", []), ("empty", ["--config", str(empty)])]:
+            out, rejects = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.rejects.jsonl"
+            argv = ["curate", "--input", src, "--output", str(out), "--rejects", str(rejects)]
+            assert dispatch(argv + config) == 0
+            seen.append((out.read_bytes(), rejects.read_bytes(), capsys.readouterr()))
+        assert seen[0] == seen[1]
+        assert b'"rule": "stopword"' in seen[0][1]  # the package's stopwords apply
+
+    def test_curate_without_config_loads_no_yaml(self, tmp_path):
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, sample_text(0))])
+        argv = ["curate", "--input", src, "--output", str(tmp_path / "out.jsonl")]
+        code = f"import sys; from lusokit.cli import dispatch; dispatch({argv!r}); print('yaml' in sys.modules)"
+        assert run_python(code) == "False"
+
+    def test_dev_null_may_be_named_as_two_outputs(self, tmp_path, capsys):
+        rows = [corpus_row(0, sample_text(0), host="a.example.br"),
+                corpus_row(1, sample_text(1), host="b.example.pt"),
+                corpus_row(2, sample_text(2), host="c.example.org")]
+        src = jsonl(tmp_path / "in.jsonl", rows)
+        br = tmp_path / "br.jsonl"
+        code = dispatch(["split-variant", "--input", src, "--output-ptpt", os.devnull,
+                         "--output-ptbr", str(br), "--output-discard", os.devnull])
+        assert code == 0
+        assert "ptpt=1 ptbr=1 discarded=1" in capsys.readouterr().err
+        assert len(br.read_text().splitlines()) == 1
+
     def test_dedup(self, tmp_path, capsys):
         rows = [corpus_row(0, "um texto qualquer aqui"),
                 corpus_row(1, "um  texto qualquer aqui"),
@@ -917,6 +953,24 @@ class TestTaskCommands:
         assert "e1" in captured.out
         assert "violations=1" in captured.err
 
+    @pytest.mark.parametrize("train, dev", [("{new}", "{new}"), ("{old}", "{input}"),
+                                            ("{input}", "{new}"), ("{new}", "{link}")],
+                             ids=["train-dev", "dev-input", "train-input", "dev-link"])
+    def test_split_outputs_that_collide_are_refused(self, tmp_path, capsys, train, dev):
+        src = jsonl(tmp_path / "rte.jsonl", self._rte_rows(10))
+        old = tmp_path / "old.jsonl"
+        old.write_bytes(b"kept as it was\n")
+        os.link(src, tmp_path / "link.jsonl")
+        before = Path(src).read_bytes()
+        paths = {"input": src, "old": old, "new": tmp_path / "new.jsonl", "link": tmp_path / "link.jsonl"}
+        code = dispatch(["split", "--input", src, "--task", "rte", "--seed", "13",
+                         "--output-train", train.format(**paths), "--output-dev", dev.format(**paths)])
+        assert code == 2
+        assert "is the same file as" in capsys.readouterr().err
+        assert Path(src).read_bytes() == before
+        assert old.read_bytes() == b"kept as it was\n"
+        assert not (tmp_path / "new.jsonl").exists()
+
     def test_split_rejects_bad_schema(self, tmp_path):
         rows = self._rte_rows(3)
         del rows[0]["sentence2"]
@@ -1081,6 +1135,19 @@ class TestTranslateCommand:
             '{"id": "a", "url": "https://x.pt/1", "source": "DCEP", "text": "dois \u00e9 um"}\n'
             '{"id": "b", "source": "Other", "text": "url sem"}\n'
         )
+
+    @pytest.mark.parametrize("same", ["input", "link"])
+    def test_output_that_is_the_input_is_refused(self, tmp_path, capsys, same):
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "bom dia mundo")])
+        os.link(src, tmp_path / "link.jsonl")
+        before = Path(src).read_bytes()
+        output = src if same == "input" else str(tmp_path / "link.jsonl")
+        code = dispatch(["translate", "--input", src, "--output", output, "--target", "PT-PT",
+                         "--fake", "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        assert f"error: output {output} is the same file as {src}" in capsys.readouterr().err
+        assert Path(src).read_bytes() == before
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("flag", ["--batch-size", "--max-workers"])
     def test_non_positive_flag_fails_before_any_work(self, tmp_path, capsys, flag):
@@ -1276,9 +1343,109 @@ class TestExperimentCommands:
         assert capsys.readouterr().err == f"error: --tasks names rte {repeats}\n"
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_non_positive_timeout_is_usage_error(self, tmp_path, capsys, timeout):
+        store = tmp_path / "store"
+        ResultsStore(store).append({"run_key": "earlier", "status": "ok"})
+
+        def snapshot():
+            return {p.relative_to(store): p.read_bytes() if p.is_file() else None
+                    for p in store.rglob("*")}
+
+        before = snapshot()
+        code = dispatch(["run", "--models", self._roster(tmp_path), "--template", TRAINER_TEMPLATE,
+                         "--store", str(store), "--tasks", "rte", f"--timeout={timeout}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: timeout must be positive, got {float(timeout)}\n"
+        assert snapshot() == before
+
     def test_bad_template_is_usage_error(self, tmp_path, capsys):
         code = dispatch(
             ["run", "--models", self._roster(tmp_path), "--template", "train {model}",
              "--store", str(tmp_path / "store"), "--tasks", "rte"]
         )
         assert code == 2
+
+
+RTE_LINES = ['{"id": "e0", "sentence1": "um", "sentence2": "dois", "label": 0}',
+             '{"id": "e1", "sentence1": "olá", "sentence2": "dois", "label": 1}']
+
+
+def _encoded(path, text, encoding):
+    path.write_bytes(text.encode(encoding))
+    return path
+
+
+def _input_file_case(case, tmp_path, encoding):
+    """(argv, the small input file written in encoding, where its "á" is on line 2)."""
+    corpus = jsonl(tmp_path / "in.jsonl", [corpus_row(0, sample_text(0))])
+    task = _encoded(tmp_path / "rte.jsonl", "\n".join(RTE_LINES) + "\n", encoding)
+    roster = _encoded(tmp_path / "roster.yaml", MINI_ROSTER.replace("m1", "m1 # olá", 1), encoding)
+    store = ["--store", str(tmp_path / "store")]
+    if case == "pack --vocab":
+        vocab = _encoded(tmp_path / "vocab.txt", "[CLS]\nolá\n[PAD]\n[UNK]\n", encoding)
+        return ["pack", "--input", corpus, "--vocab", str(vocab), "--schedule", "8:10",
+                "--output-dir", str(tmp_path / "p")], vocab
+    if case == "curate --config":
+        config = _encoded(tmp_path / "c.yaml", "curation:\n  min_words: 3  # olá\n", encoding)
+        return ["curate", "--input", corpus, "--output", str(tmp_path / "o.jsonl"),
+                "--config", str(config)], config
+    if case == "curate list file":
+        words = _encoded(tmp_path / "flagged.txt", "merda\nolá\n", encoding)
+        (tmp_path / "c.yaml").write_text("curation:\n  flagged_words_file: flagged.txt\n")
+        return ["curate", "--input", corpus, "--output", str(tmp_path / "o.jsonl"),
+                "--config", str(tmp_path / "c.yaml")], words.resolve()
+    if case == "validate":
+        return ["validate", "--input", str(task), "--task", "rte"], task
+    if case == "split":
+        return ["split", "--input", str(task), "--task", "rte", "--seed", "1",
+                "--output-train", str(tmp_path / "t"), "--output-dev", str(tmp_path / "d")], task
+    if case == "score --gold":
+        preds = jsonl(tmp_path / "p.jsonl", [{"id": f"e{i}", "prediction": i} for i in range(2)])
+        return ["score", "--gold", str(task), "--pred", preds, "--task", "rte"], task
+    if case == "score --pred":
+        gold = jsonl(tmp_path / "g.jsonl", [json.loads(line) for line in RTE_LINES])
+        preds = _encoded(tmp_path / "p.jsonl", '{"id": "e0", "prediction": 0}\n'
+                         '{"id": "e1", "prediction": 1, "note": "olá"}\n', encoding)
+        return ["score", "--gold", gold, "--pred", str(preds), "--task", "rte"], preds
+    if case == "matrix":
+        return ["matrix", "--models", str(roster), "--count"], roster
+    if case == "run":
+        return ["run", "--models", str(roster), "--template", TRAINER_TEMPLATE, "--tasks", "rte",
+                *store], roster
+    assert case == "report"
+    return ["report", "--models", str(roster), *store], roster
+
+
+INPUT_FILE_CASES = [
+    ("pack --vocab", 2), ("curate --config", 2), ("curate list file", 2), ("validate", 1),
+    ("split", 1), ("score --gold", 1), ("score --pred", 1), ("matrix", 2), ("run", 2),
+    ("report", 2),
+]
+
+
+class TestInputFileEncoding:
+    @pytest.mark.parametrize("case, code", INPUT_FILE_CASES, ids=[c for c, _ in INPUT_FILE_CASES])
+    def test_file_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, case, code):
+        # exit 2 for configuration (vocabulary, config, list, roster), 1 for data
+        argv, bad = _input_file_case(case, tmp_path, "latin-1")
+        assert dispatch(argv) == code
+        assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 (byte 0xe1)\n"
+
+    @pytest.mark.parametrize("case", ["pack --vocab", "curate --config", "curate list file",
+                                      "validate", "split", "score --gold", "score --pred",
+                                      "matrix", "report"])
+    def test_file_may_start_with_a_byte_order_mark(self, tmp_path, capsys, case):
+        argv, _ = _input_file_case(case, tmp_path, "utf-8-sig")
+        assert dispatch(argv) == 0
+        assert "error" not in capsys.readouterr().err
+
+    def test_list_file_with_a_byte_order_mark_matches_its_first_entry(self, tmp_path, capsys):
+        _encoded(tmp_path / "exact.txt", BLOCK_EXACT_HOST + "\n", "utf-8-sig")
+        config = _encoded(tmp_path / "c.yaml", "blocklist:\n  exact_file: exact.txt\n", "utf-8-sig")
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, sample_text(0), host=BLOCK_EXACT_HOST),
+                                            corpus_row(1, sample_text(1))])
+        code = dispatch(["curate", "--input", src, "--output", str(tmp_path / "o.jsonl"),
+                         "--config", str(config)])
+        assert code == 0
+        assert "kept=1 blocklisted=1 rejected=0" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import yaml
 
 from lusokit.config import PipelineConfig, load_list
 from lusokit.corpus_io import CorpusRecord
-from lusokit.curation import FilterConfig, apply_filters
+from lusokit.curation import FilterConfig, apply_filters, load_default_stopwords
 from lusokit.errors import ConfigurationError
 
 
@@ -28,6 +28,18 @@ class TestLists:
         path.write_text("Merda\nQUE\nde\n", encoding="utf-8")
         assert load_list(path) == frozenset({"merda", "que", "de"})
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # the first entry would otherwise be "\ufeffde" and never match
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"\xef\xbb\xbfde\nque\n")
+        assert load_list(path) == frozenset({"de", "que"})
+
+    def test_list_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes("de\nolá\n".encode("latin-1"))
+        with pytest.raises(ConfigurationError, match=r"words.txt:2: not UTF-8 \(byte 0xe1\)"):
+            load_list(path)
+
     def test_domain_list_lowercases(self, tmp_path):
         path = tmp_path / "domains.txt"
         path.write_text("Exemplo.PT\n# nada\nmais.pt\n", encoding="utf-8")
@@ -39,6 +51,15 @@ class TestLoad:
         cfg = PipelineConfig.load(write_config(tmp_path, ""))
         assert cfg.curation == {}
         assert cfg.make_blocklist().exact_domains == frozenset()
+
+    @pytest.mark.parametrize("body", ["", "curation:\nblocklist: {}\n", "\ufeff"])
+    def test_empty_file_is_the_empty_config(self, tmp_path, body):
+        # what curate runs without --config
+        cfg = PipelineConfig.load(write_config(tmp_path, body))
+        assert cfg == PipelineConfig()
+        assert cfg.make_filter_config() == PipelineConfig().make_filter_config()
+        assert cfg.make_filter_config().stopword_list == load_default_stopwords()
+        assert cfg.make_blocklist() == PipelineConfig().make_blocklist()
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "curations: {}\n")

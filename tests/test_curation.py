@@ -110,6 +110,14 @@ class TestRules:
         assert name in str(exc.value) and "'Merda'" in str(exc.value)
 
 
+def test_default_stopwords_are_the_bundled_file_stripped_without_blanks():
+    # the list-file rule (lowercase, skip '#' lines) leaves the bundled list as it was
+    from importlib import resources
+
+    data = resources.files("lusokit.data").joinpath("stopwords_pt.txt").read_text("utf-8")
+    assert load_default_stopwords() == frozenset(w.strip() for w in data.splitlines() if w.strip())
+
+
 def _random_text(rng):
     kind = rng.randrange(6)
     if kind == 0:

@@ -410,6 +410,15 @@ class TestRunMatrix:
         runs = build_matrix([model()], tasks=[TASKS["rte"]])
         return [r for r in runs if (r.lr, r.dropout, r.bf16) == (1e-5, 0.0, False)]
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_non_positive_timeout_rejected_before_any_claim(self, tmp_path, timeout):
+        store = ResultsStore(tmp_path / "s")
+        claimed = []
+        store.claim = lambda key: claimed.append(key) or True
+        with pytest.raises(ConfigurationError, match="timeout must be positive"):
+            run_matrix(self._mini_runs(), TRAINER_TEMPLATE, store, timeout=timeout)
+        assert claimed == [] and store.load() == {}
+
     def test_executes_and_resumes(self, tmp_path):
         runs = self._mini_runs()
         store = ResultsStore(tmp_path / "s")

@@ -423,6 +423,39 @@ class TestShards:
                 writer.append(b"\0" * 8, [2])
                 raise RuntimeError("stop")
         assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # no x.bin.partial either
+
+    def test_failed_write_over_a_shard_leaves_its_old_bytes(self, tmp_path):
+        path = tmp_path / "x.bin"
+        write_shard(path, pack_batch([seq(CLS, 5, SEP)], 8, PAD))
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with ShardWriter(path, 8, PAD, WIDE) as writer:
+                assert path.read_bytes() == before  # rows go to the partial file
+                writer.append(b"\0" * 12, [3])
+                raise RuntimeError("stop")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+    def test_failed_close_removes_the_partial_file(self, tmp_path, monkeypatch):
+        from lusokit import packing
+
+        def failing_replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(packing.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            with ShardWriter(tmp_path / "x.bin", 8, PAD, WIDE) as writer:
+                writer.append(b"\0" * 8, [2])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_shard_replaces_a_shard_whole(self, tmp_path):
+        path = tmp_path / "x.bin"
+        write_shard(path, pack_batch([seq(CLS, 5, SEP)], 8, PAD))
+        batch = pack_batch([seq(CLS, 6, 7, SEP), seq(CLS, SEP)], 8, PAD)
+        write_shard(path, batch)
+        assert np.array_equal(read_shard(path).token_ids, batch.token_ids)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -64,6 +64,21 @@ class TestVocabulary:
         v = load_vocabulary(path)
         assert v.pieces == ("[CLS]", "[SEP]", "[PAD]", "[UNK]", "\ufeffola")
 
+    def test_file_keeps_its_own_specials(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<s>\n</s>\n<pad>\n<unk>\nola\n", encoding="utf-8")
+        v = load_vocabulary(path)
+        assert v.pieces == ("<s>", "</s>", "<pad>", "<unk>", "ola")
+        assert [v.piece(i) for i in (v.cls_id, v.sep_id, v.pad_id, v.unk_id)] == [
+            "<s>", "</s>", "<pad>", "<unk>"
+        ]
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("[CLS]\n[SEP]\n[PAD]\n[UNK]\nolá\n".encode("latin-1"))
+        with pytest.raises(ConfigurationError, match=r"vocab.txt:5: not UTF-8 \(byte 0xe1\)"):
+            load_vocabulary(path)
+
     def test_header_too_short_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("[CLS]\n[SEP]\n", encoding="utf-8")
