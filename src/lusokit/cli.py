@@ -404,6 +404,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from lusokit.experiments.grid import build_matrix, load_roster
 
+    _check_outputs(args.models, [args.output])
     models = load_roster(args.models)
     runs = build_matrix(models, split_seed=args.split_seed)
     if args.count:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from lusokit.curation import Blocklist, FilterConfig, load_default_stopwords, parse_list
 from lusokit.errors import ConfigurationError
-from lusokit.textutil import utf8_lines
+from lusokit.textutil import check_mapping, load_yaml, utf8_lines
 
 _TOP_KEYS = {"curation", "blocklist"}
 
@@ -44,34 +44,14 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        import yaml  # here, so curate without --config loads no YAML parser
-
         path = Path(path)
-        try:
-            raw = yaml.safe_load("".join(utf8_lines(path, ConfigurationError)))
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"config {path} is not valid YAML: {exc}") from None
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"config {path} must be a mapping at top level")
-        unknown = set(raw) - _TOP_KEYS
-        if unknown:
-            raise ConfigurationError(
-                f"config {path} has unknown top-level keys: {sorted(unknown)}"
-            )
+        raw = check_mapping(load_yaml(path, "config"), _TOP_KEYS, f"config {path}",
+                            "must be a mapping at top level", "top-level keys")
         sections: dict[str, dict] = {}
         for name, allowed in _SECTION_KEYS.items():
-            section = raw.get(name, {})
-            if section is None:
-                section = {}
-            if not isinstance(section, dict):
-                raise ConfigurationError(f"config section '{name}' must be a mapping")
-            bad = set(section) - allowed
-            if bad:
-                raise ConfigurationError(
-                    f"config section '{name}' has unknown keys: {sorted(bad)}"
-                )
+            section = raw.get(name)  # None when absent or empty: the empty mapping
+            section = check_mapping({} if section is None else section, allowed,
+                                    f"config section '{name}'")
             resolved = {}
             for key, value in section.items():
                 if key in _PATH_KEYS:

@@ -20,12 +20,10 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-import yaml
-
 from lusokit import DEFAULT_SPLIT_SEED
 from lusokit.benchmarks import TASKS, TaskSpec
 from lusokit.errors import ConfigurationError
-from lusokit.textutil import sha256, utf8_lines
+from lusokit.textutil import check_mapping, load_yaml, sha256
 from lusokit.variants import Variant
 
 
@@ -71,28 +69,16 @@ def load_roster(path: str | Path) -> list[ModelEntry]:
     multichoice flag defaults to False for the 100m class and True
     otherwise.
     """
-    try:
-        raw = yaml.safe_load("".join(utf8_lines(path, ConfigurationError)))
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"roster {path} is not valid YAML: {exc}") from None
+    raw = load_yaml(path, "roster")
     if not isinstance(raw, dict) or "models" not in raw:
         raise ConfigurationError(f"roster {path} must be a mapping with a 'models' list")
-    unknown = set(raw) - {"models"}
-    if unknown:
-        raise ConfigurationError(f"roster {path} has unknown keys: {sorted(unknown)}")
-    entries_raw = raw["models"]
+    entries_raw = check_mapping(raw, {"models"}, f"roster {path}")["models"]
     if not isinstance(entries_raw, list) or not entries_raw:
         raise ConfigurationError(f"roster {path}: 'models' must be a non-empty list")
     allowed = {"name", "variant", "size_class", "supports_multichoice"}
     entries = []
     for i, item in enumerate(entries_raw):
-        if not isinstance(item, dict):
-            raise ConfigurationError(f"roster {path}: model #{i} is not a mapping")
-        unknown = set(item) - allowed
-        if unknown:
-            raise ConfigurationError(
-                f"roster {path}: model #{i} has unknown keys: {sorted(unknown)}"
-            )
+        check_mapping(item, allowed, f"roster {path}: model #{i}", "is not a mapping")
         try:
             variant = Variant(item["variant"])
         except (KeyError, ValueError):

@@ -32,26 +32,31 @@ def _run_key(record: dict) -> str | None:
 
 class ResultsStore:
     def __init__(self, directory: str | Path) -> None:
+        # The directories are made at the first claim or append; reads make none.
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.results_path = self.directory / "results.jsonl"
         self.claims_dir = self.directory / "claims"
-        self.claims_dir.mkdir(exist_ok=True)
         self._claims: dict[str, int] = {}
         # completed_keys is called from every fan_out worker thread.
         self._read_lock = threading.Lock()
         self._read_offset = 0
-        self._completed: set[str] = set()
+        self._ok: dict[str, bool] = {}  # run key -> its latest record is a success
 
     def append(self, record: dict) -> None:
         """Durably append one result record."""
         if _run_key(record) is None:
             raise ValueError("result record needs a non-empty 'run_key'")
+        self.claims_dir.mkdir(parents=True, exist_ok=True)
         jsonlog.append(self.results_path, record)
 
     def load(self) -> dict[str, dict]:
         """Latest record per run key; malformed lines are skipped."""
-        return jsonlog.load(self.results_path, _run_key)
+        latest = {}
+        for record, _ in jsonlog.read(self.results_path):
+            key = _run_key(record)
+            if key is not None:
+                latest[key] = record
+        return latest
 
     def completed_keys(self) -> set[str]:
         """Run keys whose latest record is a success.
@@ -60,16 +65,17 @@ class ResultsStore:
         by this process or any other.
         """
         with self._read_lock:
-            latest, self._read_offset = jsonlog.load_from(
-                self.results_path, self._read_offset, _run_key
-            )
-            self._completed.difference_update(latest)
-            self._completed.update(k for k, r in latest.items() if r.get("status") == STATUS_OK)
-            return set(self._completed)
+            # The offset moves past each record read and the complete lines skipped before it.
+            for record, self._read_offset in jsonlog.read(self.results_path, self._read_offset):
+                key = _run_key(record)
+                if key is not None:
+                    self._ok[key] = record.get("status") == STATUS_OK
+            return {key for key, ok in self._ok.items() if ok}
 
     def claim(self, run_key: str) -> bool:
         """Lock a run until release; False if anyone else holds it,
         another thread of this process included."""
+        self.claims_dir.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.claims_dir / f"{run_key}.lock", os.O_WRONLY | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)

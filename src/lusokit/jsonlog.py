@@ -12,7 +12,7 @@ import fcntl
 import json
 import os
 from pathlib import Path
-from typing import Callable, Hashable, Optional
+from typing import Iterator
 
 
 def append(path: str | Path, *records: dict) -> None:
@@ -37,35 +37,26 @@ def append(path: str | Path, *records: dict) -> None:
         os.close(fd)
 
 
-def load(path: str | Path, key: Callable[[dict], Optional[Hashable]]) -> dict:
-    """Latest record per key in the whole log."""
-    return load_from(path, 0, key)[0]
-
-
-def load_from(
-    path: str | Path, offset: int, key: Callable[[dict], Optional[Hashable]]
-) -> tuple[dict, int]:
-    """Latest record per key among the complete lines from byte `offset`
-    on, and the offset just past the last of those lines.
+def read(path: str | Path, offset: int = 0) -> Iterator[tuple[dict, int]]:
+    """(record, end) for each JSON object on a complete line from byte
+    `offset` on, end being the offset just past that line. A missing
+    log reads as empty.
 
     A last line without its newline is still being written, or was torn
-    by a crash; it is left for a later call. Blank, torn and non-object
-    lines and records whose key is None are skipped.
+    by a crash; it is left for a later read. Blank, torn and non-object
+    lines are skipped. Readers keep the latest record per key.
     """
-    records: dict = {}
     if not os.path.exists(path):
-        return records, offset
+        return
     with open(path, "rb") as handle:
         handle.seek(offset)
         for line in handle:
             if not line.endswith(b"\n"):
-                break
+                return
             offset += len(line)
             try:
                 obj = json.loads(line.decode("utf-8", "replace"))
             except json.JSONDecodeError:
                 continue
-            k = key(obj) if isinstance(obj, dict) else None
-            if k is not None:
-                records[k] = obj
-    return records, offset
+            if isinstance(obj, dict):
+                yield obj, offset

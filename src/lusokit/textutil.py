@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, Sequence
 
 from _blake2 import blake2b
 
+from lusokit.errors import ConfigurationError
+
 try:
     from _sha2 import sha256
 except ImportError:
@@ -61,3 +63,34 @@ def utf8_lines(path: str | Path, error: type[Exception]) -> Iterator[str]:
                 yield raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise error(f"{path}:{line_no}: not UTF-8 (byte 0x{raw[exc.start]:02x})") from None
+
+
+def load_yaml(path: str | Path, what: str):
+    """The document of a small YAML input file (what names it: config, roster), read by
+    ``utf8_lines``; an empty file is the empty mapping. A file that is not YAML raises
+    one line naming what, file:line and the parser's problem."""
+    import yaml  # here, so only the commands that read YAML load its parser
+
+    text = "".join(utf8_lines(path, ConfigurationError))
+    try:
+        document = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        if isinstance(exc, yaml.MarkedYAMLError):
+            at = exc.problem_mark.index
+            problem = ", ".join(filter(None, (exc.context, exc.problem)))
+        else:  # a character the reader refuses
+            at, problem = exc.position, str(exc).split("\n")[0]
+        line = text.count("\n", 0, at) + 1
+        raise ConfigurationError(f"{what} {path}:{line} is not valid YAML: {problem}") from None
+    return {} if document is None else document
+
+
+def check_mapping(value, allowed: set, what: str, shape="must be a mapping", keys="keys") -> dict:
+    """value if it is a mapping whose keys are all in allowed; otherwise a
+    ConfigurationError "{what} {shape}" or "{what} has unknown {keys}: [...]"."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{what} {shape}")
+    unknown = set(value) - allowed
+    if unknown:
+        raise ConfigurationError(f"{what} has unknown {keys}: {sorted(unknown)}")
+    return value

@@ -31,6 +31,9 @@ AUTH_KEY_ENV_VAR = "LUSOKIT_MT_AUTH_KEY"
 MAX_RETRIES = 4
 BACKOFF_BASE_S = 0.5
 
+# Seconds a provider request may take before it counts as a transient failure.
+REQUEST_TIMEOUT_S = 30.0
+
 # Cache lines key a text by a BLAKE2b digest of this many bytes.
 DIGEST_BYTES = 16
 
@@ -81,7 +84,6 @@ class HttpMTClient:
         self,
         endpoint: str,
         auth_key: Optional[str] = None,
-        timeout: float = 30.0,
         session: Optional[requests.Session] = None,
     ) -> None:
         self.endpoint = endpoint
@@ -90,7 +92,6 @@ class HttpMTClient:
             raise AuthenticationError(
                 f"no auth key: pass one or set {AUTH_KEY_ENV_VAR}"
             )
-        self.timeout = timeout
         import requests  # slow to import, and only this client needs it
 
         self.session = session if session is not None else requests.Session()
@@ -102,7 +103,7 @@ class HttpMTClient:
         headers = {"Authorization": f"Bearer {self.auth_key}"}
         try:
             response = self.session.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                self.endpoint, json=payload, headers=headers, timeout=REQUEST_TIMEOUT_S
             )
         except requests.RequestException as exc:
             raise TransientTranslationError(f"request failed: {exc}") from exc
@@ -152,15 +153,10 @@ class TranslationCache:
         # target -> digest -> translation: no tuple or text per entry
         self._entries: dict[str, dict[bytes, str]] = {}
         wanted = None if texts is None else {_digest(text) for text in texts}
-
-        def keep(record: dict) -> None:
-            # Fills the entries itself, latest line last, and gives
-            # jsonlog no key, so no record is held beside them.
+        for record, _ in jsonlog.read(self.path):
             key = _cache_key(record)
             if key is not None and (wanted is None or key[1] in wanted):
                 self._entries.setdefault(key[0], {})[key[1]] = record["translation"]
-
-        jsonlog.load(self.path, keep)
 
     def get(self, text: str, target: str) -> Optional[str]:
         entries = self._entries.get(target)

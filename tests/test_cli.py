@@ -432,8 +432,9 @@ class TestPipelineCommands:
         ["split-variant", "--output-ptpt", "{new}", "--output-ptbr", "{sub}/../new.jsonl"],
         ["split-variant", "--output-ptpt", "{new}", "--output-ptbr", "{old}",
          "--output-discard", "{link}"],
+        ["matrix", "--output", "{input}"],
     ], ids=["ingest", "dedup", "rejects-input", "rejects-output", "ptpt-ptbr", "spelled-apart",
-            "hard-link"])
+            "hard-link", "matrix-roster"])
     def test_output_that_is_the_input_or_another_output_is_refused(self, tmp_path, capsys, argv):
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, sample_text(i)) for i in range(3)])
         old = tmp_path / "old.jsonl"
@@ -443,7 +444,8 @@ class TestPipelineCommands:
         before = Path(src).read_bytes()
         paths = {"input": src, "old": old, "new": tmp_path / "new.jsonl", "link": link,
                  "sub": tmp_path / "sub"}
-        argv = [argv[0], "--input", src, *(arg.format(**paths) for arg in argv[1:])]
+        flag = "--models" if argv[0] == "matrix" else "--input"
+        argv = [argv[0], flag, src, *(arg.format(**paths) for arg in argv[1:])]
         assert dispatch(argv) == 2
         assert "is the same file as" in capsys.readouterr().err
         assert Path(src).read_bytes() == before
@@ -1359,6 +1361,17 @@ class TestExperimentCommands:
         assert capsys.readouterr().err == f"error: timeout must be positive, got {float(timeout)}\n"
         assert snapshot() == before
 
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "--template", TRAINER_TEMPLATE, "--timeout", "0"], 2),
+        (["run", "--template", "train {model}"], 2),
+        (["report"], 0),
+    ], ids=["run-timeout", "run-template", "report"])
+    def test_command_that_writes_no_record_makes_no_store(self, tmp_path, capsys, argv, code):
+        store = tmp_path / "store"
+        argv = [*argv, "--models", self._roster(tmp_path), "--store", str(store), "--tasks", "rte"]
+        assert dispatch(argv) == code
+        assert not store.exists()
+
     def test_bad_template_is_usage_error(self, tmp_path, capsys):
         code = dispatch(
             ["run", "--models", self._roster(tmp_path), "--template", "train {model}",
@@ -1439,6 +1452,20 @@ class TestInputFileEncoding:
         argv, _ = _input_file_case(case, tmp_path, "utf-8-sig")
         assert dispatch(argv) == 0
         assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["roster", "config"])
+    def test_file_that_is_not_yaml_is_one_error_line(self, tmp_path, capsys, what):
+        # two JSON objects: the second starts a document without "---"
+        bad = tmp_path / "bad.yaml"
+        bad.write_text('{"a": 1}\n{"b": 2}\n', encoding="utf-8")
+        if what == "roster":
+            argv = ["matrix", "--models", str(bad), "--count"]
+        else:
+            argv = ["curate", "--input", jsonl(tmp_path / "in.jsonl", [corpus_row(0, "um")]),
+                    "--output", str(tmp_path / "o.jsonl"), "--config", str(bad)]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {what} {bad}:2 is not valid YAML: expected '<document start>', but found '{{'\n")
 
     def test_list_file_with_a_byte_order_mark_matches_its_first_entry(self, tmp_path, capsys):
         _encoded(tmp_path / "exact.txt", BLOCK_EXACT_HOST + "\n", "utf-8-sig")

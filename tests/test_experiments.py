@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from unittest.mock import patch
@@ -195,6 +196,37 @@ class TestRoster:
             load_roster(path)
 
 
+# Results-log lines as writers and crashes leave them: records (some
+# without a usable run key), blank lines, malformed JSON (a fragment that
+# a later append ended) and JSON that is not an object.
+LOG_RECORDS = st.fixed_dictionaries({
+    "run_key": st.sampled_from(["k1", "k2", "k3", "", 7]),
+    "status": st.sampled_from(["ok", "failed"]),
+    "n": st.integers(0, 99),
+})
+RUN_RECORDS = LOG_RECORDS.filter(lambda record: record["run_key"] in ("k1", "k2", "k3"))
+LOG_LINES = st.lists(st.one_of(
+    LOG_RECORDS.map(json.dumps),
+    st.sampled_from(["", "  ", '{"run_key": "k1", "sta', "{", "not json", "[1, 2]", '"k1"', "3",
+                     "null"]),
+).map(lambda line: line + "\n"), max_size=30)
+TORN_TAILS = st.sampled_from(["", '{"run_key": "k2", "st', '{"run_key": "k1", "status": "ok"}'])
+
+
+def latest_wins(data: bytes) -> dict:
+    """Reference fold of a results log: the last object per non-empty string
+    run key among the complete lines."""
+    latest = {}
+    for line in data.split(b"\n")[:-1]:  # what follows the last newline is torn
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(obj, dict) and isinstance(obj.get("run_key"), str) and obj["run_key"]:
+            latest[obj["run_key"]] = obj
+    return latest
+
+
 class TestStore:
     def test_append_load_last_wins(self, tmp_path):
         store = ResultsStore(tmp_path / "s")
@@ -323,12 +355,48 @@ class TestStore:
 
     def test_completed_keys_skips_a_torn_line_once_appended_past(self, tmp_path):
         store = ResultsStore(tmp_path / "s")
+        store.directory.mkdir(exist_ok=True)  # made by an append that a crash tore
         with store.results_path.open("a", encoding="utf-8") as out:
             out.write('{"run_key": "k1", "sta')
         assert store.completed_keys() == set()
         store.append({"run_key": "k2", "status": "ok"})
         assert store.completed_keys() == {"k2"}
         assert set(store.load()) == {"k2"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=LOG_LINES, tail=TORN_TAILS)
+    def test_load_is_a_latest_wins_fold(self, lines, tail):
+        data = ("".join(lines) + tail).encode("utf-8")
+        with tempfile.TemporaryDirectory() as directory:
+            store = ResultsStore(directory)
+            store.results_path.write_bytes(data)
+            assert store.load() == latest_wins(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=LOG_LINES, tail=TORN_TAILS, cuts=st.lists(st.integers(0, 4000), max_size=6),
+           appends=st.lists(st.tuples(st.integers(0, 6), RUN_RECORDS), max_size=3))
+    def test_completed_keys_read_in_increments_equals_one_full_read(self, lines, tail, cuts,
+                                                                    appends):
+        # the log arrives in pieces cut anywhere, a line included, with
+        # whole records appended between some of them; completed_keys
+        # is read after each
+        data = ("".join(lines) + tail).encode("utf-8")
+        cuts = sorted({cut % (len(data) + 1) for cut in cuts} | {len(data)})
+        with tempfile.TemporaryDirectory() as directory:
+            store = ResultsStore(directory)
+            start = 0
+            for i, cut in enumerate(cuts):
+                with store.results_path.open("ab") as out:
+                    out.write(data[start:cut])
+                start = cut
+                store.completed_keys()
+                for record in (record for at, record in appends if at == i):
+                    store.append(record)
+                    store.completed_keys()
+            full = latest_wins(store.results_path.read_bytes())
+            ok = {key for key, record in full.items() if record["status"] == "ok"}
+            assert store.completed_keys() == ResultsStore(directory).completed_keys() == ok
+            assert store.load() == full
 
 
 class TestTemplate:
