@@ -250,7 +250,6 @@ class SplitResult:
 
     train: tuple[TaskExample, ...]
     dev: tuple[TaskExample, ...]
-    seed: int
 
 
 def train_size_90_10(n: int) -> int:
@@ -278,4 +277,4 @@ def split_90_10(examples: Sequence[TaskExample], seed: int) -> SplitResult:
     random.Random(seed).shuffle(indices)
     train = tuple(examples[i] for i in indices[:n_train])
     dev = tuple(examples[i] for i in indices[n_train:])
-    return SplitResult(train=train, dev=dev, seed=seed)
+    return SplitResult(train=train, dev=dev)

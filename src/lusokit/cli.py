@@ -3,8 +3,8 @@
 One executable, one subcommand per pipeline step. Exit codes: 0 on
 success (including runs whose whole point is reporting rejections),
 1 when input data violates a contract, 2 for configuration and usage
-errors, 3 when a worker process dies. Diagnostics go to stderr; data
-goes to stdout or the file the user named.
+errors, 3 when a worker process dies, 130 when interrupted (SIGINT).
+Diagnostics go to stderr; data goes to stdout or the file the user named.
 """
 
 from __future__ import annotations
@@ -66,17 +66,15 @@ def _check_outputs(path: str, outputs: Sequence[Optional[str]]) -> None:
 def _map_corpus(
     path: str, work: Callable, outputs: Sequence[Optional[str]] = (),
     format: str = FORMAT_LINE_DELIMITED, default_source: Source = Source.OTHER,
-    parent: Optional[Callable] = None,
 ) -> tuple[Iterator, IngestReport]:
     """(values, report) of work over the records of the corpus at path.
 
     ``process_map``'s workers each reopen the input, split it into chunks
     of CHUNK_RECORDS raw units (``read_units``), and parse their own chunks
     (``parse_units``) into work(records): UTF-8 bytes per output path and a
-    value, or what parent turns into that pair here. Only that result
-    crosses back; this process writes the bytes in input order (a None
-    path's to devnull), and report sums the ingest counts once the values
-    are exhausted. An input that is not a regular file (a FIFO, /dev/stdin)
+    value. Only that result crosses back; this process writes the bytes in
+    input order (a None path's to devnull), and report sums the ingest
+    counts once the values are exhausted. An input that is not a regular file (a FIFO, /dev/stdin)
     cannot be reread by each worker, so it runs in this process. An output
     that is the input or another output is refused before any is opened.
     """
@@ -109,8 +107,7 @@ def _map_corpus(
         with ExitStack() as stack:
             files = [stack.enter_context(open(out or os.devnull, "wb")) for out in outputs]
             results = process_map(run, chunks) if rereadable else (run(c) for c in chunks())
-            for result, counts in stack.enter_context(closing(results)):
-                texts, value = parent(result) if parent else result
+            for (texts, value), counts in stack.enter_context(closing(results)):
                 for file, text in zip(files, texts):
                     file.write(text)
                 report.records_read += counts.records_read
@@ -193,16 +190,15 @@ def _cmd_curate(args: argparse.Namespace) -> int:
 def _cmd_dedup(args: argparse.Namespace) -> int:
     from lusokit.curation import DedupStats, first_wins, text_digest
 
+    _check_outputs(args.input, [args.output])
+    chunks, _ = _map_corpus(
+        args.input, lambda records: ([], [(text_digest(r.text), _jsonl([r])) for r in records])
+    )
     seen: set[bytes] = set()  # across chunks, in this process
     stats = DedupStats()
-    values, _ = _map_corpus(
-        args.input,
-        lambda records: [(text_digest(r.text), _jsonl([r])) for r in records],
-        [args.output],
-        parent=lambda pairs: ([b"".join(first_wins(pairs, seen, stats))], None),
-    )
-    for _ in values:  # each chunk's kept lines are written as it is read
-        pass
+    with open(args.output, "wb") as out:
+        for pairs in chunks:  # each chunk's kept lines are written as it is read
+            out.write(b"".join(first_wins(pairs, seen, stats)))
     print(f"kept={stats.kept} duplicates={stats.duplicates}", file=sys.stderr)
     return 0
 
@@ -497,7 +493,7 @@ def _read_predictions(path: str | Path) -> dict[str, object]:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    from lusokit.benchmarks import THREE_CLASS_LABELS, read_task_examples
+    from lusokit.benchmarks import read_task_examples
     from lusokit.metrics import UNDEFINED, score
 
     spec = _require_task(args.task)
@@ -513,9 +509,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
         raise DataError(f"predictions for unknown example ids: {sorted(extra)[:5]}")
     if not pairs:
         raise DataError(f"{args.gold} has no examples")
-    classes = sorted(THREE_CLASS_LABELS) if spec.metric.value == "f1_macro" else None
     try:
-        value = score(spec.metric.value, pairs, classes=classes)
+        value = score(spec.metric.value, pairs)
     except (TypeError, ValueError) as exc:  # Pearson on non-numbers or on one point
         raise DataError(f"cannot compute {spec.metric.value}: {exc}") from None
     if value is UNDEFINED:
@@ -663,6 +658,9 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except WorkerDied as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from lusokit.corpus_io import CorpusRecord, Source
 from lusokit.errors import ConfigurationError
@@ -280,13 +280,12 @@ def curate_stream(
     records: Iterable[CorpusRecord],
     cfg: FilterConfig,
     blocklist: Blocklist,
-    on_reject=None,
+    on_reject: Callable,
 ) -> tuple[Iterator[CorpusRecord], CurationStats]:
     """Blocklist plus quality rules over a record stream.
 
     Sources in QUALITY_EXEMPT_SOURCES skip the quality rules but never
-    the blocklist.
-    on_reject, when given, is called with (record, stage, decision) for
+    the blocklist. on_reject is called with (record, stage, decision) for
     every drop; stage is "blocklist" or "quality", decision is None for
     blocklist drops.
     """
@@ -296,15 +295,13 @@ def curate_stream(
         for record in records:
             if not apply_blocklist(record, blocklist):
                 stats.blocklisted += 1
-                if on_reject:
-                    on_reject(record, "blocklist", None)
+                on_reject(record, "blocklist", None)
                 continue
             if record.source not in QUALITY_EXEMPT_SOURCES:
                 decision = apply_filters(record, cfg)
                 if not decision.keep:
                     stats.rejected += 1
-                    if on_reject:
-                        on_reject(record, "quality", decision)
+                    on_reject(record, "quality", decision)
                     continue
             stats.kept += 1
             yield record

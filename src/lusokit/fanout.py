@@ -131,9 +131,10 @@ def process_map(fn: Callable[[T], R], chunks: Callable[[], Iterable[T]]) -> Iter
     finally:
         for pipe in pipes:
             pipe.close()
-        for pid in pids.values():
-            if not finished:  # an error, or the consumer stopped: the rest is not needed
+        if not finished:  # an error, an interrupt, or the consumer stopped: the rest is not needed
+            for pid in pids.values():  # every kill before any wait, which an interrupt may cut short
                 os.kill(pid, signal.SIGKILL)
+        for pid in pids.values():
             os.waitpid(pid, 0)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
+from lusokit.benchmarks import THREE_CLASS_LABELS
+
 
 class EvalPair(NamedTuple):
     """One scored example: gold label first, prediction second."""
@@ -124,17 +126,14 @@ def pearson(xs: Sequence[float], ys: Sequence[float]):
     return max(-1.0, min(1.0, r))
 
 
-def score(metric_name: str, pairs: Iterable, classes: Sequence | None = None):
-    """Dispatch by metric name: accuracy, f1_binary, f1_macro, pearson."""
+def score(metric_name: str, pairs: Iterable):
+    """Dispatch by metric name: accuracy, f1_binary, f1_macro (over THREE_CLASS_LABELS), pearson."""
     if metric_name == "accuracy":
         return accuracy(pairs)
     if metric_name == "f1_binary":
         return f1_binary(pairs)
     if metric_name == "f1_macro":
-        items = _as_pairs(pairs)
-        if classes is None:
-            classes = sorted({g for g, _ in items} | {p for _, p in items})
-        return f1_macro(items, classes)
+        return f1_macro(pairs, sorted(THREE_CLASS_LABELS))
     if metric_name == "pearson":
         items = _as_pairs(pairs)
         return pearson([float(g) for g, _ in items], [float(p) for _, p in items])

@@ -40,7 +40,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -177,10 +177,12 @@ def cap_rows(
 class ShardWriter:
     """Streams one stage shard to path: append rows, then close.
 
-    Ids are ``width = id_width(vocab_size)`` bytes each and go to
-    ``<path>.partial`` as they are appended; only the kept lengths stay in
+    Ids are ``width = id_width(vocab_size)`` bytes each and go to the
+    writer's own partial file, ``<path>.<pid>.<n>.partial`` with the first n
+    no file has yet, as they are appended; only the kept lengths stay in
     memory (4 bytes a row) until close writes them as the footer, rewrites
-    the header with the row count and renames the file onto path. As a context
+    the header with the row count and renames the file onto path, so of two
+    writers on one path the one that closes last wins. As a context
     manager it closes on a clean exit; if the block or close raises, it
     removes the partial file and path keeps its old bytes.
     """
@@ -195,8 +197,14 @@ class ShardWriter:
         self.stage_max_len = stage_max_len
         self.pad_id = pad_id
         self.lengths = array("I")
-        self._partial = self.path.with_name(f"{self.path.name}.partial")
-        self._file = self._partial.open("wb")
+        for n in count():
+            self._partial = self.path.with_name(f"{self.path.name}.{os.getpid()}.{n}.partial")
+            try:  # mode 0o666, as open() gives, so the umask sets the shard's permissions
+                fd = os.open(self._partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                continue
+            break
+        self._file = os.fdopen(fd, "wb")
         self._file.write(self._header())
 
     def _header(self) -> bytes:

@@ -36,6 +36,7 @@ except ImportError:
         from hashlib import sha256
 
 BOM = b"\xef\xbb\xbf"  # the UTF-8 byte order mark
+MERGE_TAG = "tag:yaml.org,2002:merge"  # YAML's merge key, <<
 
 
 def word_count(text: str) -> int:
@@ -67,13 +68,29 @@ def utf8_lines(path: str | Path, error: type[Exception]) -> Iterator[str]:
 
 def load_yaml(path: str | Path, what: str):
     """The document of a small YAML input file (what names it: config, roster), read by
-    ``utf8_lines``; an empty file is the empty mapping. A file that is not YAML raises
-    one line naming what, file:line and the parser's problem."""
+    ``utf8_lines``; an empty file is the empty mapping. A file that is not YAML, or that
+    gives a key twice in one mapping, raises one line naming what and file:line."""
     import yaml  # here, so only the commands that read YAML load its parser
+
+    class Loader(yaml.SafeLoader):
+        def compose_mapping_node(self, anchor):
+            """The mapping node, refused if it gives a key twice. Keys are compared as
+            written, before merge keys (``<<``) are applied, so a key beside a merge
+            key still overrides the merged one."""
+            node = super().compose_mapping_node(anchor)
+            seen = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != MERGE_TAG:
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        line = key_node.start_mark.line + 1
+                        raise ConfigurationError(f"{what} {path}:{line}: key {key!r} given twice")
+                    seen.add(key)
+            return node
 
     text = "".join(utf8_lines(path, ConfigurationError))
     try:
-        document = yaml.safe_load(text)
+        document = yaml.load(text, Loader)
     except yaml.YAMLError as exc:
         if isinstance(exc, yaml.MarkedYAMLError):
             at = exc.problem_mark.index

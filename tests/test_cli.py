@@ -7,8 +7,10 @@ import random
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,12 @@ from hypothesis import strategies as st
 
 import lusokit
 from lusokit import __version__
-from lusokit.benchmarks import TASKS
+from lusokit.benchmarks import TASKS, THREE_CLASS_LABELS
 from lusokit.cli import dispatch
 from lusokit.corpus_io import record_to_json
 from lusokit.experiments.grid import build_matrix, load_roster, make_run_key
 from lusokit.experiments.store import ResultsStore
+from lusokit.metrics import f1_macro
 from lusokit.packing import VIEW_MAGIC, pack_flat, read_shard
 from lusokit.tokenizer import load_vocabulary, tokenize_flat
 
@@ -925,6 +928,55 @@ class TestProcessFanOut:
         ), result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_sigint_is_one_error_line_and_leaves_no_worker(self, tmp_path):
+        # a worker writes its pid to the marker, then blocks in r20's chunk
+        # (the seventh) until the command, interrupted, kills it
+        src = fan_out_corpus(tmp_path / "in.jsonl")
+        marker = tmp_path / "worker.pid"
+        argv = ["curate", "--input", src, "--output", str(tmp_path / "kept.jsonl")]
+        code = (
+            "import os, sys, time\n"
+            "from lusokit import cli, curation, fanout\n"
+            "real = curation.apply_filters\n"
+            "def blocking(record, cfg):\n"
+            "    if record.id == 'r20':\n"
+            f"        with open({str(marker)!r} + '.tmp', 'w') as out:\n"
+            "            out.write(str(os.getpid()))\n"
+            f"        os.replace({str(marker)!r} + '.tmp', {str(marker)!r})\n"
+            "        time.sleep(60)\n"
+            "    return real(record, cfg)\n"
+            "curation.apply_filters = blocking\n"
+            "fanout.cpu_count = lambda: 2\n"
+            "cli.CHUNK_RECORDS = 3\n"
+            f"sys.exit(cli.dispatch({argv!r}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while not marker.exists():
+                assert child.poll() is None, "the command ended before r20's chunk"
+                assert time.monotonic() < deadline, "no worker reached r20's chunk"
+                time.sleep(0.01)
+            worker = int(marker.read_text())
+            assert worker != child.pid
+            child.send_signal(signal.SIGINT)
+            _out, err = child.communicate(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            if worker is not None:
+                try:
+                    os.kill(worker, signal.SIGKILL)
+                    alive = True
+                except ProcessLookupError:
+                    alive = False
+        assert (child.returncode, err) == (130, "error: interrupted\n")
+        assert not alive, f"worker {worker} outlived the command"
+
 
 class TestTaskCommands:
     def _rte_rows(self, n):
@@ -997,6 +1049,19 @@ class TestTaskCommands:
         code = dispatch(["score", "--gold", gold, "--pred", preds, "--task", "rte"])
         assert code == 0
         assert "accuracy=" in capsys.readouterr().out
+
+    def test_score_cb_is_macro_f1_over_the_three_labels(self, tmp_path, capsys):
+        labels = sorted(THREE_CLASS_LABELS)
+        rng = random.Random(26)
+        pairs = [(rng.choice(labels), rng.choice(labels[:2])) for _ in range(12)]  # no neutral predicted
+        gold = jsonl(tmp_path / "cb.jsonl", [
+            {"id": f"e{i}", "premise": f"frase {i}", "hypothesis": f"outra {i}", "label": g}
+            for i, (g, _) in enumerate(pairs)
+        ])
+        preds = jsonl(tmp_path / "pred.jsonl",
+                      [{"id": f"e{i}", "prediction": p} for i, (_, p) in enumerate(pairs)])
+        assert dispatch(["score", "--gold", gold, "--pred", preds, "--task", "cb"]) == 0
+        assert capsys.readouterr().out == f"f1_macro={f1_macro(pairs, labels):.6f}\n"
 
     def test_score_missing_prediction_is_data_error(self, tmp_path, capsys):
         gold = jsonl(tmp_path / "gold.jsonl", self._rte_rows(3))
@@ -1466,6 +1531,22 @@ class TestInputFileEncoding:
         assert dispatch(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {what} {bad}:2 is not valid YAML: expected '<document start>', but found '{{'\n")
+
+    @pytest.mark.parametrize("what", ["roster", "config"])
+    def test_key_given_twice_is_one_error_line(self, tmp_path, capsys, what):
+        # last-wins would load variant ptpt, or min_words 500
+        bad = tmp_path / "twice.yaml"
+        if what == "roster":
+            bad.write_text(MINI_ROSTER + "    variant: ptpt\n", encoding="utf-8")
+            argv, line, key = ["matrix", "--models", str(bad), "--count"], 5, "variant"
+        else:
+            bad.write_text("curation:\n  min_words: 3\n  min_words: 500\n", encoding="utf-8")
+            argv = ["curate", "--input", jsonl(tmp_path / "in.jsonl", [corpus_row(0, "um")]),
+                    "--output", str(tmp_path / "o.jsonl"), "--config", str(bad)]
+            line, key = 3, "min_words"
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"error: {what} {bad}:{line}: key '{key}' given twice\n"
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_list_file_with_a_byte_order_mark_matches_its_first_entry(self, tmp_path, capsys):
         _encoded(tmp_path / "exact.txt", BLOCK_EXACT_HOST + "\n", "utf-8-sig")

@@ -9,6 +9,7 @@ from lusokit.config import PipelineConfig, load_list
 from lusokit.corpus_io import CorpusRecord
 from lusokit.curation import FilterConfig, apply_filters, load_default_stopwords
 from lusokit.errors import ConfigurationError
+from lusokit.textutil import load_yaml
 
 
 def write_config(tmp_path, body, name="pipeline.yaml"):
@@ -107,6 +108,35 @@ class TestLoad:
         path = write_config(tmp_path, "curation: [unclosed\n")
         with pytest.raises(ConfigurationError):
             PipelineConfig.load(path)
+
+    @pytest.mark.parametrize("body, line", [
+        ("curation:\n  min_words: 3\n  max_words: 9\n  min_words: 500\n", 4),
+        ("curation:\n  min_words: 3\n  'min_words': 500\n", 3),  # one key, however quoted
+    ])
+    def test_key_given_twice_rejected(self, tmp_path, body, line):
+        path = write_config(tmp_path, body)
+        with pytest.raises(ConfigurationError) as caught:
+            PipelineConfig.load(path)
+        assert str(caught.value) == f"config {path}:{line}: key 'min_words' given twice"
+
+    def test_merge_key_keeps_its_override_meaning(self, tmp_path):
+        # a key given beside a merge key (<<) overrides the merged one, also
+        # where the merging mapping is itself merged before it is read
+        path = write_config(tmp_path, (
+            "base: &base {min_words: 3, max_words: 9}\n"
+            "nested:\n"
+            "  mid: &mid\n"
+            "    <<: *base\n"
+            "    min_words: 5\n"
+            "curation:\n"
+            "  <<: *mid\n"
+            "  max_words: 10\n"
+        ))
+        assert load_yaml(path, "config") == {
+            "base": {"min_words": 3, "max_words": 9},
+            "nested": {"mid": {"min_words": 5, "max_words": 9}},
+            "curation": {"min_words": 5, "max_words": 10},
+        }
 
 
 class TestFactories:

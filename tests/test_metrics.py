@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lusokit.benchmarks import THREE_CLASS_LABELS
 from lusokit.metrics import UNDEFINED, EvalPair, accuracy, f1_binary, f1_macro, pearson, score
 
 
@@ -154,8 +155,18 @@ class TestDispatch:
     def test_score_by_name(self):
         assert score("accuracy", [(1, 1), (0, 1)]) == 0.5
         assert score("f1_binary", [(1, 1)]) == 1.0
-        assert score("f1_macro", [("a", "a"), ("b", "b")], classes=["a", "b"]) == 1.0
+        assert score("f1_macro", [("neutral", "neutral"), ("entailment", "entailment")]) == 1.0
+        # over the three NLI labels, not those in the pairs (which would give 1/3):
+        # contradiction 2/3, entailment 0, neutral (absent) 1
+        pairs = [("entailment", "contradiction"), ("contradiction", "contradiction")]
+        assert score("f1_macro", pairs) == pytest.approx(5 / 9)
         assert score("pearson", [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]) == pytest.approx(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(THREE_CLASS_LABELS)),
+                              st.sampled_from(sorted(THREE_CLASS_LABELS) + ["other"])), min_size=1))
+    def test_f1_macro_is_over_the_three_nli_labels(self, pairs):
+        assert score("f1_macro", pairs) == f1_macro(pairs, sorted(THREE_CLASS_LABELS))
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Truncation, batch packing, schedules, shard files."""
 
+import os
 import struct
 import sys
 from array import array
@@ -456,6 +457,32 @@ class TestShards:
         write_shard(path, batch)
         assert np.array_equal(read_shard(path).token_ids, batch.token_ids)
         assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+    def test_two_writers_on_one_path_leave_the_last_closed_whole(self, tmp_path):
+        # each writer has its own partial file: the second writer's rows,
+        # written before and after the first renames its shard into place,
+        # replace that shard whole
+        path = tmp_path / "stage_8.bin"
+        first, second = ShardWriter(path, 8, PAD, 30), ShardWriter(path, 8, PAD, 30)
+        first.append(*cap_rows(array("H", [CLS, 5, 6, SEP]), [4], 8))
+        second.append(*cap_rows(array("H", [CLS, 7, SEP]), [3], 8))
+        first.close()
+        second.append(*cap_rows(array("H", [CLS, SEP]), [2], 8))
+        second.close()
+        expected = pack_batch([seq(CLS, 7, SEP), seq(CLS, SEP)], 8, PAD)
+        got = read_shard(path)
+        assert np.array_equal(got.token_ids, expected.token_ids)
+        assert np.array_equal(got.attention_mask, expected.attention_mask)
+        assert [p.name for p in tmp_path.iterdir()] == ["stage_8.bin"]
+
+    def test_shard_permissions_follow_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with ShardWriter(tmp_path / "x.bin", 8, PAD, 30) as writer:
+                writer.append(*cap_rows(array("H", [CLS, SEP]), [2], 8))
+        finally:
+            os.umask(old)
+        assert (tmp_path / "x.bin").stat().st_mode & 0o777 == 0o640
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
