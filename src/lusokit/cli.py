@@ -365,14 +365,18 @@ def _cmd_translate(args: argparse.Namespace) -> int:
             raise ConfigurationError("--endpoint is required unless --fake is given")
         client = HttpMTClient(args.endpoint)
     cache = TranslationCache(args.cache_dir, texts=texts) if args.cache_dir else None
-    outcome = translate_dataset(
-        texts,
-        args.target,
-        client,
-        cache=cache,
-        batch_size=args.batch_size,
-        max_workers=args.max_workers,
-    )
+    try:
+        outcome = translate_dataset(
+            texts,
+            args.target,
+            client,
+            cache=cache,
+            batch_size=args.batch_size,
+            max_workers=args.max_workers,
+        )
+    finally:
+        if not args.fake:
+            client.close()
     pairs = zip(materialized, outcome.translations)
     translated = [dataclasses.replace(r, text=t) for r, t in pairs if t is not None]
     written = write_records(translated, args.output)

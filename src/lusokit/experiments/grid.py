@@ -79,6 +79,9 @@ def load_roster(path: str | Path) -> list[ModelEntry]:
     entries = []
     for i, item in enumerate(entries_raw):
         check_mapping(item, allowed, f"roster {path}: model #{i}", "is not a mapping")
+        name = item.get("name")
+        if not isinstance(name, str) or not name:
+            raise ConfigurationError(f"roster {path}: model #{i} needs a non-empty string name")
         try:
             variant = Variant(item["variant"])
         except (KeyError, ValueError):
@@ -103,7 +106,7 @@ def load_roster(path: str | Path) -> list[ModelEntry]:
             )
         entries.append(
             ModelEntry(
-                name=str(item.get("name", "")),
+                name=name,
                 variant=variant,
                 size_class=size_class,
                 supports_multichoice=supports,

@@ -9,6 +9,7 @@ retry will ever help).
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -22,7 +23,7 @@ from lusokit.fanout import fan_out
 from lusokit.textutil import blake2b
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
 
 AUTH_KEY_ENV_VAR = "LUSOKIT_MT_AUTH_KEY"
 
@@ -72,52 +73,72 @@ class FakeReversingClient:
 
 
 class HttpMTClient:
-    """JSON-over-HTTP provider client.
+    """JSON-over-HTTP provider client on the standard library.
 
     Auth key comes from the constructor or the LUSOKIT_MT_AUTH_KEY
-    environment variable. Status mapping: 401/403 authentication,
-    429/5xx transient, other 4xx permanent; connection-level errors
-    are transient.
+    environment variable. Status mapping: 401/403 authentication, 3xx
+    fatal (redirects are not followed), 429/5xx transient, other 4xx
+    permanent; connection-level errors are transient. A connection
+    serves one request at a time and is kept alive for the next, so no
+    more are opened than there are concurrent requests.
     """
 
     def __init__(
         self,
         endpoint: str,
         auth_key: Optional[str] = None,
-        session: Optional[requests.Session] = None,
+        connect: Optional[Callable[[], http.client.HTTPConnection]] = None,
     ) -> None:
         self.endpoint = endpoint
+        default_connect, self._target, self._headers = _connector(endpoint)
         self.auth_key = auth_key if auth_key is not None else os.environ.get(AUTH_KEY_ENV_VAR)
         if not self.auth_key:
             raise AuthenticationError(
                 f"no auth key: pass one or set {AUTH_KEY_ENV_VAR}"
             )
-        import requests  # slow to import, and only this client needs it
-
-        self.session = session if session is not None else requests.Session()
+        self._headers["Authorization"] = f"Bearer {self.auth_key}"
+        self._headers["Content-Type"] = "application/json"
+        self._connect = connect if connect is not None else default_connect
+        self._idle: list[http.client.HTTPConnection] = []  # pop and append are atomic
 
     def translate_batch(self, texts: Sequence[str], target: str) -> list[str]:
-        import requests
+        import http.client
+        import select
 
-        payload = {"texts": list(texts), "target": target}
-        headers = {"Authorization": f"Bearer {self.auth_key}"}
+        body = json.dumps({"texts": list(texts), "target": target}).encode()
         try:
-            response = self.session.post(
-                self.endpoint, json=payload, headers=headers, timeout=REQUEST_TIMEOUT_S
-            )
-        except requests.RequestException as exc:
+            conn = self._idle.pop()
+        except IndexError:
+            conn = self._connect()
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()  # the server closed it while idle; request() reconnects
+        data = None
+        try:
+            conn.request("POST", self._target, body, self._headers)
+            response = conn.getresponse()
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
             raise TransientTranslationError(f"request failed: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthenticationError(f"auth rejected with status {response.status_code}")
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientTranslationError(f"status {response.status_code}")
-        if response.status_code != 200:
+        finally:
+            if data is None:
+                conn.close()
+            self._idle.append(conn)
+        status = response.status
+        if status in (401, 403):
+            raise AuthenticationError(f"auth rejected with status {status}")
+        if 300 <= status < 400:
+            raise ConfigurationError(
+                f"endpoint {self.endpoint} redirects with status {status} "
+                f"to {response.getheader('Location')}; redirects are not followed"
+            )
+        if status == 429 or status >= 500:
+            raise TransientTranslationError(f"status {status}")
+        if status != 200:
             raise PermanentTranslationError(
-                f"status {response.status_code}: {response.text[:200]}"
+                f"status {status}: {data.decode('utf-8', 'replace')[:200]}"
             )
         try:
-            body = response.json()
-            translations = body["translations"]
+            translations = json.loads(data)["translations"]
         except (ValueError, KeyError, TypeError) as exc:
             raise PermanentTranslationError(f"malformed response body: {exc}") from exc
         if not isinstance(translations, list) or len(translations) != len(texts):
@@ -131,6 +152,59 @@ class HttpMTClient:
                     f"translation {i} is {type(translation).__name__}, not text"
                 )
         return translations
+
+    def close(self) -> None:
+        """Close the kept-alive connections; a later request opens a new one."""
+        while self._idle:
+            self._idle.pop().close()
+
+
+def _connector(endpoint: str) -> tuple[Callable[[], http.client.HTTPConnection], str, dict]:
+    """Connection factory, request target and proxy headers for an
+    endpoint. The proxy is the one http_proxy or https_proxy names
+    unless no_proxy covers the host, as urllib.request reads them:
+    https goes through a CONNECT tunnel, http by absolute URL.
+    """
+    import base64
+    import http.client
+    import urllib.request
+    from urllib.parse import unquote, urlsplit
+
+    def parse(value: str, what: str, schemes: tuple[str, ...]):
+        try:
+            url = urlsplit(value)
+            if url.scheme in schemes and url.hostname:
+                return url, url.port or (443 if url.scheme == "https" else 80)
+        except ValueError:
+            pass
+        raise ConfigurationError(
+            f"{what} {value} is not an {' or '.join(schemes)} URL with a host"
+        )
+
+    url, port = parse(endpoint, "endpoint", ("http", "https"))
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    dial, headers, tunnel = (url.hostname, port), {}, None
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if proxy and not urllib.request.proxy_bypass(url.hostname):
+        proxy = proxy if "://" in proxy else f"http://{proxy}"
+        via, via_port = parse(proxy, f"{url.scheme}_proxy", ("http",))
+        dial = via.hostname, via_port
+        if via.username is not None:
+            user = f"{unquote(via.username)}:{unquote(via.password or '')}".encode()
+            headers["Proxy-Authorization"] = f"Basic {base64.b64encode(user).decode()}"
+        if url.scheme == "https":
+            tunnel, headers = headers, {}
+        else:
+            target = f"http://{url.netloc}{target}"
+    make = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+
+    def connect() -> http.client.HTTPConnection:
+        conn = make(*dial, timeout=REQUEST_TIMEOUT_S)
+        if tunnel is not None:
+            conn.set_tunnel(url.hostname, port, headers=tunnel)
+        return conn
+
+    return connect, target, headers
 
 
 class TranslationCache:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, wiring, stderr reporting."""
 
+import ast
 import hashlib
 import json
 import os
@@ -30,6 +31,7 @@ from lusokit.packing import VIEW_MAGIC, pack_flat, read_shard
 from lusokit.tokenizer import load_vocabulary, tokenize_flat
 
 from helpers import BLOCK_EXACT_HOST, clean_text, rule_violating_text
+from mt_server import PROXY_VARS, MTServer, Proxy
 
 VOCAB = str(Path(__file__).resolve().parent.parent / "config" / "vocab.demo.txt")
 
@@ -123,13 +125,25 @@ def test_import_leaves_command_modules_unloaded():
 
 
 def test_fake_translate_leaves_requests_unloaded(tmp_path):
-    # only the HTTP client needs requests; the offline path never builds one
+    # only the HTTP client needs the HTTP stack; the offline path never builds one
     src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "bom dia mundo")])
     argv = ["translate", "--input", src, "--output", str(tmp_path / "out.jsonl"),
             "--target", "PT-PT", "--fake", "--cache-dir", str(tmp_path / "cache")]
+    http = ["requests", "http.client", "ssl", "urllib.request"]
     code = ("import sys; from lusokit.cli import dispatch; "
-            f"code = dispatch({argv!r}); print(code, 'requests' in sys.modules)")
-    assert run_python(code) == "0 False"
+            f"code = dispatch({argv!r}); print(code, sorted(set({http!r}) & set(sys.modules)))")
+    assert run_python(code) == "0 []"
+
+
+def test_no_module_under_src_imports_requests():
+    imported = set()
+    for path in Path(lusokit.__file__).resolve().parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+    assert "yaml" in imported and "requests" not in imported
 
 
 def corpus_chain(src, out):
@@ -1107,6 +1121,14 @@ class TestTaskCommands:
         assert capsys.readouterr().err == f"error: cannot compute pearson: {message}\n"
 
 
+@pytest.fixture
+def loopback_env(monkeypatch):
+    """An auth key for the loopback provider, and none of this machine's proxy settings."""
+    for name in PROXY_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("LUSOKIT_MT_AUTH_KEY", "chave")
+
+
 class TestTranslateCommand:
     def test_fake_translation_round_trip(self, tmp_path, capsys):
         rows = [corpus_row(0, "bom dia mundo"), corpus_row(1, "ate logo")]
@@ -1154,32 +1176,16 @@ class TestTranslateCommand:
         cached = (tmp_path / "cache" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(cached) == 1 and "text" not in json.loads(cached[0])
 
-    def test_each_reject_is_one_warning_line(self, tmp_path, monkeypatch, capsys):
-        import requests
-
-        class Response:
-            status_code, text = 200, ""
-
-            def __init__(self, texts):
-                self.texts = texts
-
-            def json(self):
-                # a non-text answer for "veneno" rejects that text alone
-                return {"translations": [None if t == "veneno" else t for t in self.texts]}
-
-        class Session:
-            def post(self, url, json, headers, timeout):
-                return Response(json["texts"])
-
-        monkeypatch.setenv("LUSOKIT_MT_AUTH_KEY", "chave")
-        monkeypatch.setattr(requests, "Session", Session)
+    def test_each_reject_is_one_warning_line(self, tmp_path, capsys, loopback_env):
         rows = [corpus_row(0, "um"), corpus_row(1, "veneno"), corpus_row(2, "dois"),
                 corpus_row(3, "veneno")]
-        code = dispatch(
-            ["translate", "--input", jsonl(tmp_path / "in.jsonl", rows),
-             "--output", str(tmp_path / "o"), "--target", "PT-PT",
-             "--endpoint", "https://mt.example/v1"]
-        )
+        # a non-text answer for "veneno" rejects that text alone
+        with MTServer(translate=lambda text: None if text == "veneno" else text) as server:
+            code = dispatch(
+                ["translate", "--input", jsonl(tmp_path / "in.jsonl", rows),
+                 "--output", str(tmp_path / "o"), "--target", "PT-PT",
+                 "--endpoint", f"{server.url}/v1"]
+            )
         assert code == 0
         assert capsys.readouterr().err.splitlines() == [
             "WARNING lusokit: rejected r1: translation 0 is NoneType, not text",
@@ -1238,38 +1244,35 @@ class TestTranslateCommand:
         assert done.returncode == 2
         assert done.stderr == "error: no auth key: pass one or set LUSOKIT_MT_AUTH_KEY\n"
 
-    def test_key_rejected_mid_run_is_one_error_line(self, tmp_path, monkeypatch, capsys):
-        import requests
-
-        class Response:
-            def __init__(self, status_code, texts):
-                self.status_code, self.text, self.texts = status_code, "", texts
-
-            def json(self):
-                return {"translations": self.texts}
-
-        class Session:
-            """Echoes the first batch back, then answers 401."""
-            posts = 0
-
-            def post(self, url, json, headers, timeout):
-                self.posts += 1
-                return Response(200 if self.posts == 1 else 401, json["texts"])
-
-        monkeypatch.setenv("LUSOKIT_MT_AUTH_KEY", "chave")
-        monkeypatch.setattr(requests, "Session", Session)
+    def test_key_rejected_mid_run_is_one_error_line(self, tmp_path, capsys, loopback_env):
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(i, f"texto {i}") for i in range(3)])
-        code = dispatch(
-            ["translate", "--input", src, "--output", str(tmp_path / "o"), "--target", "PT-PT",
-             "--endpoint", "https://mt.example/v1", "--batch-size", "1",
-             "--cache-dir", str(tmp_path / "cache")]
-        )
+        # echoes the first batch back, then answers 401
+        with MTServer(statuses=[200, 401], translate=lambda text: text) as server:
+            code = dispatch(
+                ["translate", "--input", src, "--output", str(tmp_path / "o"), "--target",
+                 "PT-PT", "--endpoint", f"{server.url}/v1", "--batch-size", "1",
+                 "--cache-dir", str(tmp_path / "cache")]
+            )
         assert code == 2
         assert capsys.readouterr().err == "error: auth rejected with status 401\n"
         cached = (tmp_path / "cache" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
         digest = hashlib.blake2b("texto 0".encode("utf-8"), digest_size=16).hexdigest()
         assert [(json.loads(line)["digest"], json.loads(line)["translation"])
                 for line in cached] == [(digest, "texto 0")]
+
+    def test_endpoint_without_a_scheme_fails_before_any_work(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setenv("LUSOKIT_MT_AUTH_KEY", "chave")
+        src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "ola")])
+        out, cache = tmp_path / "out.jsonl", tmp_path / "cache"
+        code = dispatch(
+            ["translate", "--input", src, "--output", str(out), "--target", "PT-PT",
+             "--endpoint", "mt.example/v1", "--cache-dir", str(cache)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: endpoint mt.example/v1 is not an http or https URL with a host\n")
+        assert not out.exists() and not cache.exists()
 
     def test_endpoint_required_without_fake(self, tmp_path):
         src = jsonl(tmp_path / "in.jsonl", [corpus_row(0, "ola")])
@@ -1278,6 +1281,76 @@ class TestTranslateCommand:
              "--target", "PT-PT"]
         )
         assert code == 2
+
+
+class TestTranslateOverHttp:
+    """translate --endpoint against a loopback provider (and proxy) in this process."""
+
+    TEXTS = [f"texto numero {i} aqui" for i in range(40)]
+
+    @pytest.fixture(autouse=True)
+    def environment(self, tmp_path, monkeypatch, loopback_env):
+        monkeypatch.setattr("lusokit.translate.BACKOFF_BASE_S", 0.01)
+        jsonl(tmp_path / "in.jsonl", [corpus_row(i, t) for i, t in enumerate(self.TEXTS)])
+
+    def translate(self, tmp_path, name, *flags):
+        """dispatch's exit code and the output's bytes (None if not written)."""
+        out = tmp_path / f"{name}.jsonl"
+        code = dispatch(["translate", "--input", str(tmp_path / "in.jsonl"), "--output", str(out),
+                         "--target", "PT-PT", "--batch-size", "4", "--max-workers", "2", *flags])
+        return code, out.read_bytes() if out.exists() else None
+
+    @pytest.fixture
+    def expected(self, tmp_path, capsys):
+        """translate --fake's output, which the loopback server's answers reproduce."""
+        code, output = self.translate(tmp_path, "fake", "--fake")
+        capsys.readouterr()
+        assert code == 0
+        return output
+
+    def test_cold_then_warm_over_kept_alive_connections(self, tmp_path, capsys, expected):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        with MTServer() as server:
+            cold = self.translate(tmp_path, "cold", "--endpoint", f"{server.url}/v1", *cache)
+            assert len(server.peers) <= 2  # one connection per worker, reused
+            warm = self.translate(tmp_path, "warm", "--endpoint", f"{server.url}/v1", *cache)
+        assert cold == warm == (0, expected)
+        assert len(server.requests) == 10
+        assert {(path, headers["Authorization"]) for path, headers, _ in server.requests} == {
+            ("/v1", "Bearer chave")}
+        assert capsys.readouterr().err.splitlines() == [
+            "translated=40 rejected=0 requests=10", "translated=40 rejected=0 requests=0"]
+
+    def test_unavailable_then_ok_is_retried(self, tmp_path, capsys, expected):
+        with MTServer(statuses=[503]) as server:
+            result = self.translate(tmp_path, "out", "--endpoint", f"{server.url}/v1")
+        assert result == (0, expected)
+        assert capsys.readouterr().err == "translated=40 rejected=0 requests=11\n"
+
+    @pytest.mark.parametrize("status", [401, 302])
+    def test_rejected_key_or_redirect_is_one_error_line(self, tmp_path, capsys, status):
+        with MTServer(statuses=[status] * 2) as server:
+            code, output = self.translate(tmp_path, "out", "--endpoint", f"{server.url}/v1")
+        assert (code, output) == (2, None)
+        if status == 401:
+            line = "error: auth rejected with status 401"
+        else:
+            line = (f"error: endpoint {server.url}/v1 redirects with status 302 to "
+                    f"{server.location}; redirects are not followed")
+        assert capsys.readouterr().err == line + "\n"
+        assert len(server.requests) <= 2
+
+    def test_http_proxy_carries_requests_unless_no_proxy_names_the_host(
+            self, tmp_path, monkeypatch, expected):
+        with MTServer() as server, Proxy() as proxy:
+            endpoint = f"{server.url}/v1"
+            monkeypatch.setenv("http_proxy", proxy.url)
+            proxied = self.translate(tmp_path, "proxied", "--endpoint", endpoint)
+            assert proxy.seen == [("POST", endpoint, None)] * 10
+            monkeypatch.setenv("no_proxy", "127.0.0.1")
+            direct = self.translate(tmp_path, "direct", "--endpoint", endpoint)
+        assert proxied == direct == (0, expected)
+        assert len(proxy.seen) == 10 and len(server.requests) == 20
 
 
 class TestExperimentCommands:
@@ -1531,6 +1604,15 @@ class TestInputFileEncoding:
         assert dispatch(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {what} {bad}:2 is not valid YAML: expected '<document start>', but found '{{'\n")
+
+    @pytest.mark.parametrize("name", ["null", "[a, b]", "7", "''", "{}"])
+    def test_roster_name_that_is_not_a_string_is_one_error_line(self, tmp_path, capsys, name):
+        # str() made these the models "None" and "['a', 'b']"
+        roster = tmp_path / "roster.yaml"
+        roster.write_text(MINI_ROSTER.replace("name: m1", f"name: {name}"), encoding="utf-8")
+        assert dispatch(["matrix", "--models", str(roster), "--count"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: roster {roster}: model #0 needs a non-empty string name\n")
 
     @pytest.mark.parametrize("what", ["roster", "config"])
     def test_key_given_twice_is_one_error_line(self, tmp_path, capsys, what):

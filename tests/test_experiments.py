@@ -184,6 +184,19 @@ class TestRoster:
         with pytest.raises(ConfigurationError):
             load_roster(path)
 
+    @pytest.mark.parametrize("name_line", ["", "    name: null\n", "    name: [a, b]\n",
+                                           "    name: 2024-01-01\n"])
+    def test_name_must_be_a_non_empty_string(self, tmp_path, name_line):
+        path = tmp_path / "roster.yaml"
+        path.write_text(
+            "models:\n"
+            "  - name: alpha\n    variant: ptbr\n    size_class: 900m\n"
+            f"  - variant: ptpt\n    size_class: 900m\n{name_line}",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigurationError, match="model #1 needs a non-empty string name$"):
+            load_roster(path)
+
     def test_duplicate_names_rejected(self, tmp_path):
         path = tmp_path / "roster.yaml"
         path.write_text(

@@ -1,9 +1,12 @@
 """Translation client plumbing: batching, retries, bisection, cache."""
 
+import base64
 import hashlib
+import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -12,7 +15,6 @@ import time
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,8 @@ from lusokit.translate import (
     _digest,
     translate_dataset,
 )
+
+from mt_server import PROXY_VARS, Proxy
 
 
 class ScriptedClient:
@@ -165,45 +169,61 @@ class TestAuth:
 
 
 class StubResponse:
-    def __init__(self, status_code, body=None):
-        self.status_code = status_code
-        self.body = body
-        self.text = "" if body is None else str(body)
+    def __init__(self, status, body=None, location=None):
+        self.status = status
+        self.data = b"not json" if body is None else json.dumps(body).encode()
+        self.location = location
 
-    def json(self):
-        if self.body is None:
-            raise ValueError("no JSON body")
-        return self.body
+    def read(self):
+        return self.data
+
+    def getheader(self, name):
+        return self.location if name == "Location" else None
 
 
-class StubSession:
-    """Stands in for requests.Session: answers every post with one response
-    (or raises one error) and records the posts."""
+class StubConnection:
+    """Stands in for an http.client connection: answers every request with
+    one response (or raises one error), records the requests and counts
+    closes."""
+
+    sock = None  # never connected, so never found closed while idle
 
     def __init__(self, response=None, error=None):
         self.response = response
         self.error = error
-        self.posts = []
+        self.requests = []
+        self.closes = 0
 
-    def post(self, url, json, headers, timeout):
-        self.posts.append((url, json, headers, timeout))
+    def request(self, method, target, body, headers):
+        self.requests.append((method, target, json.loads(body), dict(headers)))
         if self.error is not None:
             raise self.error
+
+    def getresponse(self):
         return self.response
 
+    def close(self):
+        self.closes += 1
 
-def http_client(session):
-    return HttpMTClient("https://mt.example/v1", auth_key="chave", session=session)
+
+@pytest.fixture(autouse=True)
+def no_proxy_settings(monkeypatch):
+    for name in PROXY_VARS:
+        monkeypatch.delenv(name, raising=False)
+
+
+def http_client(conn, endpoint="https://mt.example/v1"):
+    return HttpMTClient(endpoint, auth_key="chave", connect=lambda: conn)
 
 
 class TestHttpClient:
     def test_ok_returns_translations(self):
-        session = StubSession(StubResponse(200, {"translations": ["um", "dois"]}))
-        assert http_client(session).translate_batch(["one", "two"], "PT-PT") == ["um", "dois"]
-        url, payload, headers, _timeout = session.posts[0]
-        assert url == "https://mt.example/v1"
+        conn = StubConnection(StubResponse(200, {"translations": ["um", "dois"]}))
+        assert http_client(conn).translate_batch(["one", "two"], "PT-PT") == ["um", "dois"]
+        method, target, payload, headers = conn.requests[0]
+        assert (method, target) == ("POST", "/v1")
         assert payload == {"texts": ["one", "two"], "target": "PT-PT"}
-        assert headers == {"Authorization": "Bearer chave"}
+        assert headers == {"Authorization": "Bearer chave", "Content-Type": "application/json"}
 
     @pytest.mark.parametrize("status, error", [
         (401, AuthenticationError),
@@ -213,16 +233,66 @@ class TestHttpClient:
         (503, TransientTranslationError),
         (400, PermanentTranslationError),
         (404, PermanentTranslationError),
+        (301, ConfigurationError),
+        (307, ConfigurationError),
     ])
     def test_status_mapping(self, status, error):
-        client = http_client(StubSession(StubResponse(status, {"translations": ["um"]})))
+        client = http_client(StubConnection(StubResponse(status, {"translations": ["um"]})))
         with pytest.raises(error):
             client.translate_batch(["one"], "PT-PT")
 
+    def test_redirect_stops_the_run_naming_its_location(self):
+        # redirects are not followed, and no text is rejected for one
+        conn = StubConnection(StubResponse(302, location="https://mt.example/v2"))
+        message = ("endpoint https://mt.example/v1 redirects with status 302 to "
+                   "https://mt.example/v2; redirects are not followed")
+        with pytest.raises(ConfigurationError) as info:
+            translate_dataset(["um", "dois"], "PT-PT", http_client(conn), sleep=no_sleep)
+        assert str(info.value) == message
+        assert len(conn.requests) == 1
+
     def test_connection_error_is_transient(self):
-        client = http_client(StubSession(error=requests.ConnectionError("refused")))
+        conn = StubConnection(error=ConnectionRefusedError("refused"))
+        client = http_client(conn)
         with pytest.raises(TransientTranslationError):
             client.translate_batch(["one"], "PT-PT")
+        # closed so that its next request reconnects
+        assert conn.closes == 1
+
+    @pytest.mark.parametrize("error", [
+        TimeoutError("timed out"),
+        http.client.RemoteDisconnected("closed without a response"),
+        http.client.IncompleteRead(b"{"),
+    ])
+    def test_other_connection_failures_are_transient(self, error):
+        with pytest.raises(TransientTranslationError):
+            http_client(StubConnection(error=error)).translate_batch(["one"], "PT-PT")
+
+    def test_connection_is_reused_and_closed_by_close(self):
+        made = []
+
+        def connect():
+            made.append(StubConnection(StubResponse(200, {"translations": ["um"]})))
+            return made[-1]
+
+        client = HttpMTClient("https://mt.example/v1", auth_key="chave", connect=connect)
+        for _ in range(3):
+            client.translate_batch(["one"], "PT-PT")
+        assert len(made) == 1 and len(made[0].requests) == 3 and made[0].closes == 0
+        client.close()
+        assert made[0].closes == 1
+
+    def test_connection_closed_by_the_server_while_idle_is_replaced(self):
+        # a readable idle socket means the server hung up (EOF): the client
+        # closes the connection so that http.client dials a new one
+        conn = StubConnection(StubResponse(200, {"translations": ["um"]}))
+        conn.sock, server_end = socket.socketpair()
+        try:
+            server_end.close()
+            assert http_client(conn).translate_batch(["one"], "PT-PT") == ["um"]
+            assert conn.closes == 1 and len(conn.requests) == 1
+        finally:
+            conn.sock.close()
 
     @pytest.mark.parametrize("body", [
         None,  # not JSON
@@ -231,37 +301,74 @@ class TestHttpClient:
         {"translations": "um"},
     ])
     def test_malformed_body_is_permanent(self, body):
-        client = http_client(StubSession(StubResponse(200, body)))
+        client = http_client(StubConnection(StubResponse(200, body)))
         with pytest.raises(PermanentTranslationError):
             client.translate_batch(["one"], "PT-PT")
 
     def test_rejected_key_is_a_configuration_error(self):
         # so the CLI prints it as one error: line and exits 2
-        client = http_client(StubSession(StubResponse(401)))
+        client = http_client(StubConnection(StubResponse(401)))
         with pytest.raises(ConfigurationError, match="^auth rejected with status 401$"):
             translate_dataset(["ola"], "PT-PT", client, sleep=no_sleep)
 
     def test_missing_key_is_authentication_error(self, monkeypatch):
         monkeypatch.delenv(AUTH_KEY_ENV_VAR, raising=False)
         with pytest.raises(AuthenticationError):
-            HttpMTClient("https://mt.example/v1", session=StubSession())
+            HttpMTClient("https://mt.example/v1", connect=StubConnection)
 
     def test_key_from_environment(self, monkeypatch):
         monkeypatch.setenv(AUTH_KEY_ENV_VAR, "da-env")
-        session = StubSession(StubResponse(200, {"translations": ["um"]}))
-        HttpMTClient("https://mt.example/v1", session=session).translate_batch(["one"], "PT-PT")
-        assert session.posts[0][2] == {"Authorization": "Bearer da-env"}
+        conn = StubConnection(StubResponse(200, {"translations": ["um"]}))
+        client = HttpMTClient("https://mt.example/v1", connect=lambda: conn)
+        client.translate_batch(["one"], "PT-PT")
+        assert conn.requests[0][3]["Authorization"] == "Bearer da-env"
+
+    @pytest.mark.parametrize("endpoint", [
+        "mt.example/v1",
+        "localhost:8080/v1",
+        "ftp://mt.example/v1",
+        "https:///v1",
+        "https://mt.example:port/v1",
+        "https://mt.example:70000/v1",
+        "http://[::1/v1",
+    ])
+    def test_endpoint_must_be_an_http_url_with_a_host(self, endpoint):
+        with pytest.raises(ConfigurationError, match="is not an http or https URL with a host"):
+            HttpMTClient(endpoint, auth_key="chave", connect=StubConnection)
+
+    def test_request_target_keeps_the_query(self):
+        conn = StubConnection(StubResponse(200, {"translations": ["um"]}))
+        client = http_client(conn, "https://mt.example/v1/translate?mode=fast")
+        client.translate_batch(["one"], "PT-PT")
+        assert conn.requests[0][1] == "/v1/translate?mode=fast"
+
+    def test_https_goes_through_a_connect_tunnel(self, monkeypatch):
+        with Proxy() as proxy:
+            monkeypatch.setenv("https_proxy", proxy.url.replace("//", "//ana:s%40l@"))
+            client = HttpMTClient("https://mt.example/v1", auth_key="chave")
+            # the stand-in proxy speaks no TLS, so the handshake fails
+            with pytest.raises(TransientTranslationError):
+                client.translate_batch(["one"], "PT-PT")
+            client.close()
+        token = base64.b64encode(b"ana:s@l").decode()
+        assert proxy.seen == [("CONNECT", "mt.example:443", f"Basic {token}")]
+
+    @pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080", "http://127.0.0.1:port"])
+    def test_proxy_must_be_an_http_url(self, monkeypatch, proxy):
+        monkeypatch.setenv("https_proxy", proxy)
+        with pytest.raises(ConfigurationError, match="^https_proxy .* is not an http URL"):
+            HttpMTClient("https://mt.example/v1", auth_key="chave")
 
     @pytest.mark.parametrize("answer", [None, 5, {"t": 1}, ["um"]])
     def test_non_text_translation_is_rejected_alone(self, answer):
-        class PerTextSession(StubSession):
+        class PerTextConnection(StubConnection):
             # answers `answer` for the text "veneno", a translation for the others
-            def post(self, url, json, headers, timeout):
-                self.posts.append(json["texts"])
-                translations = [answer if t == "veneno" else f"<{t}>" for t in json["texts"]]
+            def getresponse(self):
+                texts = self.requests[-1][2]["texts"]
+                translations = [answer if t == "veneno" else f"<{t}>" for t in texts]
                 return StubResponse(200, {"translations": translations})
 
-        client = http_client(PerTextSession())
+        client = http_client(PerTextConnection())
         with pytest.raises(PermanentTranslationError, match="translation 1 is"):
             client.translate_batch(["um", "veneno"], "PT-PT")
         texts = ["um", "dois", "veneno", "tres"]
