@@ -48,7 +48,11 @@ class TaskSpec:
     label_kind: LabelKind
     metric: Metric
     text_fields: tuple[str, ...]
-    requires_multichoice: bool = False
+
+    @property
+    def requires_multichoice(self) -> bool:
+        """Whether a model must score paired choices to run this task."""
+        return self.label_kind is LabelKind.CHOICE_OF_TWO
 
 
 TASKS: dict[str, TaskSpec] = {
@@ -102,7 +106,6 @@ TASKS: dict[str, TaskSpec] = {
             label_kind=LabelKind.CHOICE_OF_TWO,
             metric=Metric.ACCURACY,
             text_fields=("premise", "choice1", "choice2", "question"),
-            requires_multichoice=True,
         ),
         TaskSpec(
             name="cb",

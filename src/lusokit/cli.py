@@ -3,7 +3,8 @@
 One executable, one subcommand per pipeline step. Exit codes: 0 on
 success (including runs whose whole point is reporting rejections),
 1 when input data violates a contract, 2 for configuration and usage
-errors, 3 when a worker process dies, 130 when interrupted (SIGINT).
+errors, 3 when a worker process dies, 130 when interrupted (SIGINT),
+143 when terminated (SIGTERM).
 Diagnostics go to stderr; data goes to stdout or the file the user named.
 """
 
@@ -13,6 +14,7 @@ import argparse
 import json
 import logging
 import os
+import signal
 import stat
 import sys
 from collections import Counter
@@ -236,10 +238,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         raise ConfigurationError("--global-batch and --devices must be given together")
     per_device_batch = None
     if args.global_batch is not None:
-        try:
-            per_device_batch = plan_device_split(args.global_batch, args.devices)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from None
+        per_device_batch = plan_device_split(args.global_batch, args.devices)
     schedule = TruncationSchedule.parse(args.schedule)
     caps = [cap for cap, _steps in schedule.stages]
     top = caps[-1]
@@ -642,6 +641,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread as SIGINT raises KeyboardInterrupt."""
+
+
+def _terminate(signum, frame) -> None:
+    raise _Terminated
+
+
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -654,6 +661,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)
     except (ConfigurationError, DataError, OSError) as exc:
@@ -665,6 +673,11 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return 143
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def main() -> None:

@@ -81,31 +81,26 @@ def _synth_id(text: str, line_no: int) -> str:
     return f"{digest}#{line_no}"
 
 
-def read_records(
-    path: str | Path,
-    format: str = FORMAT_LINE_DELIMITED,
-    default_source: Source = Source.OTHER,
-) -> tuple[Iterator[CorpusRecord], IngestReport]:
-    """Open a corpus file and return (record stream, ingest report).
+def read_records(path: str | Path) -> tuple[Iterator[CorpusRecord], IngestReport]:
+    """Open a line-delimited corpus file and return (record stream, ingest report).
 
     The report object is shared with the generator and carries the final
     counts once the stream has been fully consumed. An unreadable path
     raises immediately; malformed content never does. The records are
-    ``parse_units`` over the file's ``read_units``.
+    ``parse_units`` over the file's ``read_units``; a blocks file is read
+    with those two directly.
 
     Note: id uniqueness within a file is an input contract, not checked
     here; tracking seen ids would break the bounded-memory guarantee of
     streaming reads.
     """
-    path = Path(path)
-    _check_format(format)
-    handle = path.open("rb")  # propagate unreadable-path errors eagerly
+    handle = Path(path).open("rb")  # propagate unreadable-path errors eagerly
 
     def units() -> Iterator[bytes]:
         with handle:
-            yield from read_units(handle, format)
+            yield from read_units(handle)
 
-    return parse_units(units(), 0, format, default_source, path.name)
+    return parse_units(units())
 
 
 def _check_format(format: str) -> None:

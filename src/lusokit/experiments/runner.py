@@ -89,11 +89,12 @@ def _metric_range(task_name: str) -> tuple[float, float]:
     return (0.0, 1.0)
 
 
-def _invoke(cmd: list[str], task: str, timeout: Optional[float]) -> tuple:
+def _invoke(cmd: list[str], task: str, timeout: Optional[float], pass_fds: Sequence[int]) -> tuple:
     """(dev, test, None) from a successful trainer call, else (None, None, error)."""
     try:
         proc = subprocess.run(
-            cmd, capture_output=True, encoding="utf-8", errors="replace", timeout=timeout
+            cmd, capture_output=True, encoding="utf-8", errors="replace", timeout=timeout,
+            pass_fds=pass_fds,
         )
     except FileNotFoundError:
         return None, None, f"trainer executable not found: {cmd[0]}"
@@ -116,13 +117,16 @@ def run_one(
     cfg: RunConfig,
     template: str,
     timeout: Optional[float] = None,
+    pass_fds: Sequence[int] = (),
 ) -> dict:
     """Execute one run and build its result record, with the trainer
-    call's wall seconds as duration_s."""
+    call's wall seconds as duration_s. The trainer inherits pass_fds:
+    given the run's claim descriptor, it holds the claim until it exits,
+    even if this process dies first."""
     record = cfg.to_dict()
     cmd = build_command(template, cfg)
     started = time.monotonic()
-    dev, test, error = _invoke(cmd, cfg.task, timeout)
+    dev, test, error = _invoke(cmd, cfg.task, timeout, pass_fds)
     record.update(
         status=STATUS_FAILED if error else STATUS_OK, dev=dev, test=test, error=error,
         duration_s=round(time.monotonic() - started, 3),
@@ -175,7 +179,7 @@ def run_matrix(
         try:
             if key in store.completed_keys():
                 return "done"
-            record = run_one(cfg, template, timeout=timeout)
+            record = run_one(cfg, template, timeout=timeout, pass_fds=(store.claim_fd(key),))
             store.append(record)
             return record
         finally:

@@ -7,7 +7,9 @@ most the line being written, and a torn final line is skipped on load
 rather than poisoning the store.
 
 A claim is an exclusive `flock` on the empty file `claims/<run_key>.lock`,
-held until release. The kernel drops it when its holder dies, so no
+held until release. The lock belongs to the open descriptor, so a
+child process that inherits it (the run's trainer) holds the claim too,
+and the kernel drops it when its last holder closes it or dies: no
 claim needs clearing. The files are never unlinked: two holders could
 then lock different files for one key.
 """
@@ -84,6 +86,10 @@ class ResultsStore:
             return False
         self._claims[run_key] = fd
         return True
+
+    def claim_fd(self, run_key: str) -> int:
+        """The descriptor holding a claim this store made."""
+        return self._claims[run_key]
 
     def release(self, run_key: str) -> None:
         os.close(self._claims.pop(run_key))

@@ -62,12 +62,12 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def f1_binary(pairs: Iterable, positive: object = 1) -> float:
-    """F1 of the positive class (label 1 unless overridden)."""
+def f1_binary(pairs: Iterable) -> float:
+    """F1 of the positive class, label 1."""
     items = _as_pairs(pairs)
-    tp = sum(1 for g, p in items if g == positive and p == positive)
-    fp = sum(1 for g, p in items if g != positive and p == positive)
-    fn = sum(1 for g, p in items if g == positive and p != positive)
+    tp = sum(1 for g, p in items if g == 1 and p == 1)
+    fp = sum(1 for g, p in items if g != 1 and p == 1)
+    fn = sum(1 for g, p in items if g == 1 and p != 1)
     return _f1_from_counts(tp, fp, fn)
 
 

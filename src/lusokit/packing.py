@@ -259,9 +259,9 @@ class ShardWriter:
 def plan_device_split(global_batch: int, devices: int) -> int:
     """Samples per device for an evenly divided global batch."""
     if devices < 1:
-        raise ValueError(f"device count must be positive, got {devices}")
+        raise ConfigurationError(f"device count must be positive, got {devices}")
     if global_batch < 1:
-        raise ValueError(f"global batch must be positive, got {global_batch}")
+        raise ConfigurationError(f"global batch must be positive, got {global_batch}")
     per_device, remainder = divmod(global_batch, devices)
     if remainder:
         raise ConfigurationError(

@@ -57,7 +57,11 @@ class AuthenticationError(TranslationError, ConfigurationError):
 
 class MTClient(Protocol):
     def translate_batch(self, texts: Sequence[str], target: str) -> list[str]:
-        """Translate texts into the target variant code, order-preserving."""
+        """Translate texts into the target variant code, order-preserving.
+
+        translate_dataset checks every batch a client returns: anything
+        but a list of one str per text is a permanent failure there.
+        """
         ...
 
 
@@ -78,7 +82,9 @@ class HttpMTClient:
     Auth key comes from the constructor or the LUSOKIT_MT_AUTH_KEY
     environment variable. Status mapping: 401/403 authentication, 3xx
     fatal (redirects are not followed), 429/5xx transient, other 4xx
-    permanent; connection-level errors are transient. A connection
+    permanent; connection-level errors are transient. The `translations`
+    list of a 200 body is returned as it stands: translate_dataset
+    checks its length and items, as it does every client's. A connection
     serves one request at a time and is kept alive for the next, so no
     more are opened than there are concurrent requests.
     """
@@ -141,16 +147,6 @@ class HttpMTClient:
             translations = json.loads(data)["translations"]
         except (ValueError, KeyError, TypeError) as exc:
             raise PermanentTranslationError(f"malformed response body: {exc}") from exc
-        if not isinstance(translations, list) or len(translations) != len(texts):
-            raise PermanentTranslationError(
-                f"expected {len(texts)} translations, got "
-                f"{len(translations) if isinstance(translations, list) else 'non-list'}"
-            )
-        for i, translation in enumerate(translations):
-            if not isinstance(translation, str):
-                raise PermanentTranslationError(
-                    f"translation {i} is {type(translation).__name__}, not text"
-                )
         return translations
 
     def close(self) -> None:
@@ -294,8 +290,9 @@ def translate_dataset(
     going to every index that holds it. Batches fan out across
     max_workers threads and each batch's translations are cached as it
     finishes. A transient failure is retried with backoff (MAX_RETRIES,
-    BACKOFF_BASE_S); a permanent one bisects the batch until it
-    isolates the texts that cause it. A single authentication failure
+    BACKOFF_BASE_S); a permanent one, or an answer that is not a list
+    of one str per text, bisects the batch until it isolates the texts
+    that cause it. A single authentication failure
     aborts the whole run, since no other batch could succeed either:
     batches not yet started are never sent.
     """
@@ -332,10 +329,16 @@ def translate_dataset(
                 requests_issued += 1
             try:
                 out = client.translate_batch(batch, target)
-                if len(out) != len(batch):
+                if not isinstance(out, list) or len(out) != len(batch):
                     raise PermanentTranslationError(
-                        f"expected {len(batch)} translations, got {len(out)}"
+                        f"expected {len(batch)} translations, got "
+                        f"{len(out) if isinstance(out, list) else 'non-list'}"
                     )
+                for i, translation in enumerate(out):
+                    if not isinstance(translation, str):
+                        raise PermanentTranslationError(
+                            f"translation {i} is {type(translation).__name__}, not text"
+                        )
                 return dict(zip(batch, out)), []
             except TransientTranslationError as exc:
                 if attempt >= MAX_RETRIES:

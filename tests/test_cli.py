@@ -942,9 +942,14 @@ class TestProcessFanOut:
         ), result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_sigint_is_one_error_line_and_leaves_no_worker(self, tmp_path):
+    @pytest.mark.parametrize("signum, status, word", [
+        (signal.SIGINT, 130, "interrupted"),
+        (signal.SIGTERM, 143, "terminated"),
+    ], ids=["SIGINT", "SIGTERM"])
+    def test_sigint_is_one_error_line_and_leaves_no_worker(self, tmp_path, signum, status, word):
         # a worker writes its pid to the marker, then blocks in r20's chunk
-        # (the seventh) until the command, interrupted, kills it
+        # (the seventh) until the command, interrupted, kills it; dispatch
+        # then puts back the SIGTERM handler it found
         src = fan_out_corpus(tmp_path / "in.jsonl")
         marker = tmp_path / "worker.pid"
         argv = ["curate", "--input", src, "--output", str(tmp_path / "kept.jsonl")]
@@ -962,7 +967,10 @@ class TestProcessFanOut:
             "curation.apply_filters = blocking\n"
             "fanout.cpu_count = lambda: 2\n"
             "cli.CHUNK_RECORDS = 3\n"
-            f"sys.exit(cli.dispatch({argv!r}))\n"
+            f"code = cli.dispatch({argv!r})\n"
+            "import signal\n"
+            "assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL\n"
+            "sys.exit(code)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         child = subprocess.Popen([sys.executable, "-c", code], env=env,
@@ -976,7 +984,7 @@ class TestProcessFanOut:
                 time.sleep(0.01)
             worker = int(marker.read_text())
             assert worker != child.pid
-            child.send_signal(signal.SIGINT)
+            child.send_signal(signum)
             _out, err = child.communicate(timeout=30)
         finally:
             if child.poll() is None:
@@ -988,7 +996,7 @@ class TestProcessFanOut:
                     alive = True
                 except ProcessLookupError:
                     alive = False
-        assert (child.returncode, err) == (130, "error: interrupted\n")
+        assert (child.returncode, err) == (status, f"error: {word}\n")
         assert not alive, f"worker {worker} outlived the command"
 
 
@@ -1444,6 +1452,44 @@ class TestExperimentCommands:
         invoked = [json.loads(line)["run_key"] for line in log.read_text().splitlines()]
         assert len(invoked) == len(set(invoked)) == 35 and held not in invoked
         holder.release(held)
+
+    def test_claim_outlives_a_killed_run_while_its_trainer_runs(self, tmp_path, capsys):
+        # the first trainer call ever logs its key, writes its pid to the
+        # marker and blocks; every later call logs its key and succeeds
+        log, marker = tmp_path / "log.txt", tmp_path / "trainer.pid"
+        script = (f'echo "$1" >> {log}; '
+                  f'if mkdir {tmp_path / "first"} 2> /dev/null; then '
+                  f'echo $$ > {marker}.tmp; mv {marker}.tmp {marker}; exec sleep 60; fi; '
+                  'echo dev=0.5 test=0.5')
+        template = (f"sh -c {shlex.quote(script)} sh {{run_key}} {{model}} {{task}} {{lr}} "
+                    "{dropout} {bf16} {seed} {split_seed}")
+        argv = ["run", "--models", self._roster(tmp_path), "--template", template,
+                "--store", str(tmp_path / "store"), "--tasks", "rte"]
+        code = f"import sys; from lusokit.cli import dispatch; sys.exit(dispatch({argv!r}))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        first = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        trainer = None
+        try:
+            deadline = time.monotonic() + 60
+            while not marker.exists():
+                assert first.poll() is None, "the first run ended before its trainer blocked"
+                assert time.monotonic() < deadline, "no trainer blocked"
+                time.sleep(0.01)
+            trainer = int(marker.read_text())
+            first.kill()
+            first.wait(timeout=30)
+            assert dispatch([*argv, "--max-workers", "2"]) == 0
+        finally:
+            if first.poll() is None:
+                first.kill()
+                first.wait()
+            if trainer is not None:
+                os.kill(trainer, signal.SIGKILL)
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "attempted=35 succeeded=35 failed=0 already_done=0 claimed_elsewhere=1"
+        invoked = log.read_text().split()
+        assert len(invoked) == len(set(invoked)) == 36
 
     @pytest.mark.parametrize("script, status, error", [
         ("printf '\\377\\376bad\\n' >&2; echo dev=0.5 test=0.5", "ok", None),

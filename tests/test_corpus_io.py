@@ -114,8 +114,11 @@ class TestBlocks:
         path.write_text(
             "primeiro bloco\ncontinua aqui\n\n\nsegundo bloco\n", encoding="utf-8"
         )
-        records, report = read_records(path, format=FORMAT_PLAIN_TEXT_BLOCKS)
-        out = list(records)
+        with path.open("rb") as handle:
+            records, report = parse_units(
+                read_units(handle, FORMAT_PLAIN_TEXT_BLOCKS), format=FORMAT_PLAIN_TEXT_BLOCKS
+            )
+            out = list(records)
         assert len(out) == 2
         assert out[0].text == "primeiro bloco\ncontinua aqui"
         assert out[1].text == "segundo bloco"
@@ -127,11 +130,15 @@ class TestBlocks:
     def test_leading_byte_order_mark_is_dropped_once(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_bytes(BOM + b"\nprimeiro\n\n" + BOM + b"segundo\n")
-        records, report = read_records(path, format=FORMAT_PLAIN_TEXT_BLOCKS)
-        assert [(r.id, r.text) for r in records] == [
-            ("c.txt#0", "primeiro"),
-            ("c.txt#1", "\ufeffsegundo"),
-        ]
+        with path.open("rb") as handle:
+            records, report = parse_units(
+                read_units(handle, FORMAT_PLAIN_TEXT_BLOCKS), format=FORMAT_PLAIN_TEXT_BLOCKS,
+                name=path.name,
+            )
+            assert [(r.id, r.text) for r in records] == [
+                ("c.txt#0", "primeiro"),
+                ("c.txt#1", "\ufeffsegundo"),
+            ]
         assert report.bytes_read == path.stat().st_size
 
 
@@ -176,11 +183,14 @@ def test_chunks_parse_like_the_whole_file(tmp_path_factory, pieces, bom, size, f
     data = (BOM if bom else b"") + b"".join(pieces)
     path = tmp_path_factory.mktemp("units") / "c.txt"
     path.write_bytes(data)
-    records, report = read_records(path, format=format)
-    whole = list(records)
     with path.open("rb") as handle:
         units = list(read_units(handle, format))
     assert b"".join(units) == data
+    records, report = parse_units(units, format=format, name="c.txt")
+    whole = list(records)
+    if format == FORMAT_LINE_DELIMITED:
+        records, report = read_records(path)
+        assert list(records) == whole
     got, counts = [], [0, 0, 0]
     for start in range(0, len(units), size):
         part, part_report = parse_units(units[start:start + size], start, format, name="c.txt")

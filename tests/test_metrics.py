@@ -37,10 +37,6 @@ class TestBinaryF1:
     def test_all_correct(self):
         assert f1_binary([(1, 1), (0, 0), (1, 1)]) == 1.0
 
-    def test_positive_class_override(self):
-        pairs = [("sim", "sim"), ("nao", "sim"), ("sim", "nao")]
-        assert f1_binary(pairs, positive="sim") == pytest.approx(0.5)
-
     def test_oracle_agreement(self):
         rng = random.Random(5)
         for _ in range(300):

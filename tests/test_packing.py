@@ -223,9 +223,9 @@ class TestDeviceSplit:
         assert "100" in str(exc.value) and "16" in str(exc.value)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="^global batch must be positive, got 0$"):
             plan_device_split(0, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="^device count must be positive, got 0$"):
             plan_device_split(16, 0)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import http.client
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -146,6 +147,43 @@ class TestBisection:
         assert outcome.rejects == ((0, "cannot translate 'veneno'"),
                                    (2, "cannot translate 'veneno'"))
         assert client.calls[0] == ("veneno", "um", "dois")  # sent once
+
+
+class MisshapenClient:
+    """Non-HTTP client that answers a batch holding a poison text with a
+    malformed batch: a str as long as the batch, one translation too few
+    or too many, or None in the text's place."""
+
+    def translate_batch(self, texts, target):
+        out = [f"<{t}>" for t in texts]
+        if "str" in texts:
+            return "x" * len(texts)
+        if "short" in texts:
+            return out[:-1]
+        if "long" in texts:
+            return out + ["<extra>"]
+        return [None if t == "none" else o for t, o in zip(texts, out)]
+
+
+class TestBatchShape:
+    def test_every_clients_batch_is_checked(self, tmp_path):
+        texts = ["um", "str", "dois", "short", "tres", "long", "quatro", "none", "cinco"]
+        cache = TranslationCache(tmp_path / "mt")
+        outcome = translate_dataset(texts, "PT-PT", MisshapenClient(), cache=cache,
+                                    batch_size=4, sleep=no_sleep)
+        assert outcome.rejects == (
+            (1, "expected 1 translations, got non-list"),
+            (3, "expected 1 translations, got 0"),
+            (5, "expected 1 translations, got 2"),
+            (7, "translation 0 is NoneType, not text"),
+        )
+        assert outcome.translations == (
+            "<um>", None, "<dois>", None, "<tres>", None, "<quatro>", None, "<cinco>",
+        )
+        lines = (tmp_path / "mt" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["translation"] for line in lines) == [
+            "<cinco>", "<dois>", "<quatro>", "<tres>", "<um>",
+        ]
 
 
 class TestAuth:
@@ -302,8 +340,13 @@ class TestHttpClient:
     ])
     def test_malformed_body_is_permanent(self, body):
         client = http_client(StubConnection(StubResponse(200, body)))
-        with pytest.raises(PermanentTranslationError):
-            client.translate_batch(["one"], "PT-PT")
+        outcome = translate_dataset(["one"], "PT-PT", client, sleep=no_sleep)
+        assert outcome.translations == (None,)
+        [(idx, reason)] = outcome.rejects
+        assert idx == 0 and outcome.requests_issued == 1
+        assert re.fullmatch(
+            r"malformed response body: .+|expected 1 translations, got (2|non-list)", reason
+        ), reason
 
     def test_rejected_key_is_a_configuration_error(self):
         # so the CLI prints it as one error: line and exits 2
@@ -369,8 +412,9 @@ class TestHttpClient:
                 return StubResponse(200, {"translations": translations})
 
         client = http_client(PerTextConnection())
-        with pytest.raises(PermanentTranslationError, match="translation 1 is"):
-            client.translate_batch(["um", "veneno"], "PT-PT")
+        outcome = translate_dataset(["um", "veneno"], "PT-PT", client, batch_size=2, sleep=no_sleep)
+        assert outcome.translations == ("<um>", None)
+        assert outcome.rejects == ((1, f"translation 0 is {type(answer).__name__}, not text"),)
         texts = ["um", "dois", "veneno", "tres"]
         outcome = translate_dataset(texts, "PT-PT", client, batch_size=4, sleep=no_sleep)
         assert outcome.translations == ("<um>", "<dois>", None, "<tres>")
