@@ -497,7 +497,7 @@ def _read_predictions(path: str | Path) -> dict[str, object]:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     from lusokit.benchmarks import read_task_examples
-    from lusokit.metrics import UNDEFINED, score
+    from lusokit.metrics import score
 
     spec = _require_task(args.task)
     gold = read_task_examples(args.gold)
@@ -516,7 +516,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         value = score(spec.metric.value, pairs)
     except (TypeError, ValueError) as exc:  # Pearson on non-numbers or on one point
         raise DataError(f"cannot compute {spec.metric.value}: {exc}") from None
-    if value is UNDEFINED:
+    if value is None:
         print(f"{spec.metric.value}=undefined")
     else:
         print(f"{spec.metric.value}={value:.6f}")

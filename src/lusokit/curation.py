@@ -83,9 +83,10 @@ class FilterConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # a YAML boolean is an int to Python, and would pass as 0 or 1
+            # a YAML boolean is an int to Python, and would pass as 0 or 1;
+            # NaN compares false with every count, so it would switch a rule off
             if f.type in ("int", "float") and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
+                isinstance(value, bool) or not isinstance(value, (int, float)) or value != value
             ):
                 raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
             if f.name.endswith("_ratio") and not 0.0 <= value <= 1.0:

@@ -138,11 +138,14 @@ def run_one(
 class ExecutionSummary:
     """What one orchestration pass did."""
 
-    attempted: int
     succeeded: int
     failed: int
     skipped_completed: int
     skipped_claimed: int
+
+    @property
+    def attempted(self) -> int:
+        return self.succeeded + self.failed
 
 
 def run_matrix(
@@ -198,10 +201,5 @@ def run_matrix(
             if progress is not None:
                 progress(record)
 
-    return ExecutionSummary(
-        attempted=succeeded + failed,
-        succeeded=succeeded,
-        failed=failed,
-        skipped_completed=skipped_completed,
-        skipped_claimed=skipped_claimed,
-    )
+    return ExecutionSummary(succeeded=succeeded, failed=failed,
+                            skipped_completed=skipped_completed, skipped_claimed=skipped_claimed)

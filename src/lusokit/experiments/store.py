@@ -42,7 +42,7 @@ class ResultsStore:
         # completed_keys is called from every fan_out worker thread.
         self._read_lock = threading.Lock()
         self._read_offset = 0
-        self._ok: dict[str, bool] = {}  # run key -> its latest record is a success
+        self._latest: dict[str, dict] = {}  # run key -> its latest record read so far
 
     def append(self, record: dict) -> None:
         """Durably append one result record."""
@@ -51,28 +51,28 @@ class ResultsStore:
         self.claims_dir.mkdir(parents=True, exist_ok=True)
         jsonlog.append(self.results_path, record)
 
-    def load(self) -> dict[str, dict]:
-        """Latest record per run key; malformed lines are skipped."""
-        latest = {}
-        for record, _ in jsonlog.read(self.results_path):
+    def _fold(self) -> dict[str, dict]:
+        """Fold the lines appended since the previous fold, by this
+        process or any other, into the latest record per run key.
+        Call under _read_lock."""
+        # The offset moves past each record read and the complete lines skipped before it.
+        for record, self._read_offset in jsonlog.read(self.results_path, self._read_offset):
             key = _run_key(record)
             if key is not None:
-                latest[key] = record
-        return latest
+                self._latest[key] = record
+        return self._latest
+
+    def load(self) -> dict[str, dict]:
+        """Latest record per run key, in a new dict; malformed lines are
+        skipped. Each call reads only the lines appended since the
+        previous load or completed_keys call."""
+        with self._read_lock:
+            return dict(self._fold())
 
     def completed_keys(self) -> set[str]:
-        """Run keys whose latest record is a success.
-
-        Each call reads only the lines appended since the previous one,
-        by this process or any other.
-        """
+        """Run keys whose latest record is a success, read as load reads."""
         with self._read_lock:
-            # The offset moves past each record read and the complete lines skipped before it.
-            for record, self._read_offset in jsonlog.read(self.results_path, self._read_offset):
-                key = _run_key(record)
-                if key is not None:
-                    self._ok[key] = record.get("status") == STATUS_OK
-            return {key for key, ok in self._ok.items() if ok}
+            return {key for key, record in self._fold().items() if record.get("status") == STATUS_OK}
 
     def claim(self, run_key: str) -> bool:
         """Lock a run until release; False if anyone else holds it,

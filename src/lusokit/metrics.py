@@ -1,47 +1,20 @@
 """Evaluation metrics: accuracy, F1 (binary and macro), Pearson r.
 
-Pearson over a constant vector has no defined value; rather than guess,
-score functions return the UNDEFINED sentinel and let callers decide
-how to report it.
+Scores take plain (gold, prediction) pairs. Pearson over a constant
+vector has no defined value; rather than guess, it returns None and
+lets callers decide how to report it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from lusokit.benchmarks import THREE_CLASS_LABELS
 
 
-class EvalPair(NamedTuple):
-    """One scored example: gold label first, prediction second."""
-
-    gold: object
-    pred: object
-
-
-class _Undefined:
-    """Singleton marker for metrics with no defined value on the input."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNDEFINED"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNDEFINED = _Undefined()
-
-
-def _as_pairs(pairs: Iterable) -> list[EvalPair]:
-    out = [EvalPair(*p) for p in pairs]
+def _as_pairs(pairs: Iterable) -> list:
+    out = list(pairs)
     if not out:
         raise ValueError("cannot score an empty pair list")
     return out
@@ -54,6 +27,14 @@ def accuracy(pairs: Iterable) -> float:
     return hits / len(items)
 
 
+def _counts(items: list, cls) -> tuple[int, int, int]:
+    """(tp, fp, fn) of one class."""
+    tp = sum(1 for g, p in items if g == cls and p == cls)
+    fp = sum(1 for g, p in items if g != cls and p == cls)
+    fn = sum(1 for g, p in items if g == cls and p != cls)
+    return tp, fp, fn
+
+
 def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -64,11 +45,7 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
 
 def f1_binary(pairs: Iterable) -> float:
     """F1 of the positive class, label 1."""
-    items = _as_pairs(pairs)
-    tp = sum(1 for g, p in items if g == 1 and p == 1)
-    fp = sum(1 for g, p in items if g != 1 and p == 1)
-    fn = sum(1 for g, p in items if g == 1 and p != 1)
-    return _f1_from_counts(tp, fp, fn)
+    return _f1_from_counts(*_counts(_as_pairs(pairs), 1))
 
 
 def f1_macro(pairs: Iterable, classes: Sequence) -> float:
@@ -84,28 +61,27 @@ def f1_macro(pairs: Iterable, classes: Sequence) -> float:
     items = _as_pairs(pairs)
     scores = []
     for cls in classes:
-        tp = sum(1 for g, p in items if g == cls and p == cls)
-        fp = sum(1 for g, p in items if g != cls and p == cls)
-        fn = sum(1 for g, p in items if g == cls and p != cls)
-        if tp + fp + fn == 0:
-            scores.append(1.0)
-        else:
-            scores.append(_f1_from_counts(tp, fp, fn))
+        counts = _counts(items, cls)
+        scores.append(_f1_from_counts(*counts) if any(counts) else 1.0)
     return sum(scores) / len(scores)
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]):
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     """Pearson correlation of two equal-length numeric vectors.
 
-    Returns UNDEFINED when either vector has zero variance. Sums use
-    math.fsum and the result is clamped to [-1, 1] so rounding noise
-    never pushes it out of range.
+    Returns None when either vector has zero variance; a NaN or
+    infinite value is a ValueError. Sums use math.fsum and the result
+    is clamped to [-1, 1] so rounding noise never pushes it out of
+    range.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 2:
         raise ValueError(f"need at least 2 points for correlation, got {n}")
+    for v in (*xs, *ys):
+        if not math.isfinite(v):
+            raise ValueError(f"need finite values, got {v!r}")
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     dx = [float(x) - mean_x for x in xs]
@@ -113,7 +89,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]):
     top_x = max(map(abs, dx))
     top_y = max(map(abs, dy))
     if top_x == 0.0 or top_y == 0.0:
-        return UNDEFINED
+        return None
     # r is scale-free. Scaling each side by the power of two that brings
     # its largest deviation near 1 keeps the squares clear of float
     # underflow and overflow, and is exact, so other inputs keep their r.
@@ -126,7 +102,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]):
     return max(-1.0, min(1.0, r))
 
 
-def score(metric_name: str, pairs: Iterable):
+def score(metric_name: str, pairs: Iterable) -> float | None:
     """Dispatch by metric name: accuracy, f1_binary, f1_macro (over THREE_CLASS_LABELS), pearson."""
     if metric_name == "accuracy":
         return accuracy(pairs)

@@ -35,7 +35,7 @@ from lusokit.experiments.grid import build_matrix, load_roster, make_run_key
 from lusokit.experiments.runner import run_matrix
 from lusokit.experiments.store import ResultsStore
 from lusokit.faketrainer import should_fail_first
-from lusokit.metrics import UNDEFINED, accuracy, f1_binary, f1_macro, pearson
+from lusokit.metrics import accuracy, f1_binary, f1_macro, pearson
 from lusokit.packing import (
     TruncationSchedule,
     plan_device_split,
@@ -304,7 +304,7 @@ def test_criterion_06_metric_oracles(capsys):
             ours = pearson(xs, ys)
             reference = float(np.corrcoef(xs, ys)[0, 1])
             if math.isnan(reference):
-                assert ours is UNDEFINED
+                assert ours is None
             else:
                 assert abs(ours - reference) <= 1e-12, (ours, reference)
                 scale = 0.5 + rng.random() * 1.5
@@ -312,8 +312,8 @@ def test_criterion_06_metric_oracles(capsys):
                 moved = pearson([scale * x + offset for x in xs], ys)
                 assert abs(moved - ours) <= 1e-12, (moved, ours)
 
-        assert pearson([1.0, 1.0, 1.0], [0.1, 0.5, 0.9]) is UNDEFINED
-        assert pearson([0.1, 0.5, 0.9], [2.0, 2.0, 2.0]) is UNDEFINED
+        assert pearson([1.0, 1.0, 1.0], [0.1, 0.5, 0.9]) is None
+        assert pearson([0.1, 0.5, 0.9], [2.0, 2.0, 2.0]) is None
 
 
 def test_criterion_07_split_methodology(capsys):

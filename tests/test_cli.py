@@ -1117,6 +1117,9 @@ class TestTaskCommands:
             (["abc", 2.5], "could not convert string to float: 'abc'"),
             ([None, 2.5], "float() argument must be a string or a real number, not 'NoneType'"),
             ([1.0], "need at least 2 points for correlation, got 1"),
+            ([float("nan"), 2.5], "need finite values, got nan"),
+            (["nan", 2.5], "need finite values, got nan"),
+            (["inf", 2.5], "need finite values, got inf"),
         ],
     )
     def test_score_bad_pearson_input_is_one_error_line(self, tmp_path, capsys, predictions, message):
@@ -1127,6 +1130,14 @@ class TestTaskCommands:
                       [{"id": f"e{i}", "prediction": p} for i, p in enumerate(predictions)])
         assert dispatch(["score", "--gold", gold, "--pred", preds, "--task", "stsb"]) == 1
         assert capsys.readouterr().err == f"error: cannot compute pearson: {message}\n"
+
+    def test_score_constant_predictions_are_undefined(self, tmp_path, capsys):
+        rows = [{"id": f"e{i}", "sentence1": "um", "sentence2": "dois", "label": 1.0 + i}
+                for i in range(3)]
+        gold = jsonl(tmp_path / "gold.jsonl", rows)
+        preds = jsonl(tmp_path / "pred.jsonl", [{"id": f"e{i}", "prediction": 2.5} for i in range(3)])
+        assert dispatch(["score", "--gold", gold, "--pred", preds, "--task", "stsb"]) == 0
+        assert capsys.readouterr().out == "pearson=undefined\n"
 
 
 @pytest.fixture

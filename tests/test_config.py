@@ -186,13 +186,18 @@ class TestFactories:
             PipelineConfig.load(path).make_filter_config()
 
     @pytest.mark.parametrize("name", ["min_words", "max_special_char_ratio"])
-    @pytest.mark.parametrize("value", ["yes", "true", '"5"'])
+    @pytest.mark.parametrize("value", ["yes", "true", '"5"', ".nan"])
     def test_boolean_or_string_threshold_rejected(self, tmp_path, name, value):
         # YAML reads yes and true as booleans, which Python would compare as 1
         path = write_config(tmp_path, f"curation:\n  {name}: {value}\n")
         with pytest.raises(ConfigurationError) as exc:
             PipelineConfig.load(path).make_filter_config()
         assert name in str(exc.value)
+
+    def test_infinite_max_words_loads(self, tmp_path):
+        # README's way to switch the rule off: a max_words above every document
+        path = write_config(tmp_path, "curation:\n  max_words: .inf\n")
+        assert PipelineConfig.load(path).make_filter_config().max_words == float("inf")
 
     def test_rule_list_key_rejected(self, tmp_path):
         # a rule is switched off by its threshold, not by a list of rules

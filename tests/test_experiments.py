@@ -392,7 +392,7 @@ class TestStore:
                                                                     appends):
         # the log arrives in pieces cut anywhere, a line included, with
         # whole records appended between some of them; completed_keys
-        # is read after each
+        # and load are read after each
         data = ("".join(lines) + tail).encode("utf-8")
         cuts = sorted({cut % (len(data) + 1) for cut in cuts} | {len(data)})
         with tempfile.TemporaryDirectory() as directory:
@@ -403,6 +403,9 @@ class TestStore:
                     out.write(data[start:cut])
                 start = cut
                 store.completed_keys()
+                loaded = store.load()
+                assert loaded == latest_wins(store.results_path.read_bytes())
+                loaded.clear()  # the caller's copy
                 for record in (record for at, record in appends if at == i):
                     store.append(record)
                     store.completed_keys()

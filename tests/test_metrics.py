@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lusokit.benchmarks import THREE_CLASS_LABELS
-from lusokit.metrics import UNDEFINED, EvalPair, accuracy, f1_binary, f1_macro, pearson, score
+from lusokit.metrics import accuracy, f1_binary, f1_macro, pearson, score
 
 
 class TestAccuracy:
@@ -20,9 +20,6 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy([])
-
-    def test_accepts_eval_pairs(self):
-        assert accuracy([EvalPair(1, 1), EvalPair("a", "b")]) == 0.5
 
 
 class TestBinaryF1:
@@ -103,23 +100,26 @@ class TestPearson:
             assert abs(pearson(xs, ys) - expected) <= 1e-12
 
     def test_zero_variance_is_undefined(self):
-        assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is UNDEFINED
-        assert pearson([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) is UNDEFINED
-
-    def test_undefined_is_a_singleton_and_falsy(self):
-        assert repr(UNDEFINED) == "UNDEFINED"
-        assert not UNDEFINED
+        assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+        assert pearson([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) is None
 
     def test_clamped_to_range(self):
         xs = [1e-9 * i + 1e8 for i in range(5)]
         result = pearson(xs, xs)
-        assert result is UNDEFINED or -1.0 <= result <= 1.0
+        assert result is None or -1.0 <= result <= 1.0
 
     def test_length_mismatch_and_tiny_inputs(self):
         with pytest.raises(ValueError):
             pearson([1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_that_are_not_finite_rejected(self, bad):
+        # a NaN would otherwise score a perfect 1.0
+        for xs, ys in (([bad, 2.0, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, bad, 3.0])):
+            with pytest.raises(ValueError, match=f"need finite values, got {bad!r}"):
+                pearson(xs, ys)
 
     def test_tiny_deviations_keep_their_correlation(self):
         # squared deviations near 1e-320 are subnormal and lose their digits
@@ -141,8 +141,8 @@ class TestPearson:
         xs = list(range(len(ys)))
         base = pearson(xs, ys)
         shifted = pearson([a * x + b for x in xs], ys)
-        if base is UNDEFINED:
-            assert shifted is UNDEFINED
+        if base is None:
+            assert shifted is None
         else:
             assert abs(base - shifted) <= 1e-9
 
